@@ -180,7 +180,13 @@ def _cmd_solve(args) -> int:
             problem, config, theta_mode=mode, theta_override=args.theta
         )
     except (SingularKkt, SingularNewton, StepSearchFailed, AmbiguousStatus) as exc:
-        _emit({"status": "error", "message": str(exc)}, args.format, args.output)
+        # Keep the partial log and the recovery scores the solve attached.
+        doc = {"status": "error", "message": str(exc)}
+        if getattr(exc, "log", None) is not None:
+            doc["iterations"] = exc.log.as_dicts()
+        if getattr(exc, "report", None) is not None:
+            doc["residuals"] = {"recovery": exc.report.as_dict()}
+        _emit(doc, args.format, args.output)
         return EXIT_NUMERICAL
     except HqpError as exc:
         # Validation rejections: rank deficiency, indefiniteness, bad shapes.

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -112,6 +113,11 @@ class HqpProblem:
     @property
     def theta(self) -> float:
         return self.theta_report.theta
+
+    @cached_property
+    def newton_data_norm(self) -> float:
+        """:func:`linsys.newton_data_norm` of (Q, A), shared by every Newton step."""
+        return linsys.newton_data_norm(self.Q, self.A)
 
     def objective(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)

@@ -187,11 +187,9 @@ def newton_direction(
     rhs = np.concatenate(
         [-iterate.r_d, -iterate.r_p, -x * s + sigma * iterate.mu * np.ones_like(x)]
     )
-    dx, dlam, ds = linsys.solve_newton_system(hqp.Q, hqp.A, x, s, rhs)
-    if np.linalg.norm(rhs) == 0.0:
-        rel = 0.0
-    else:
-        rel = linsys.newton_backward_error(hqp.Q, hqp.A, x, s, rhs, dx, dlam, ds)
+    dx, dlam, ds, rel = linsys.solve_newton_system(
+        hqp.Q, hqp.A, x, s, rhs, hqp.newton_data_norm
+    )
     return NewtonDirection(dx=dx, dlam=dlam, ds=ds, rel_residual=rel)
 
 

@@ -3,16 +3,20 @@
 Orthonormal null-space bases, equality-constrained KKT solves, minimum-norm
 particular solutions, reduced-Hessian eigenvalues, and the interior-point
 Newton solve.  Everything is dense; target problems are small to medium.
+The saddle-point and Newton systems are symmetric, so each is factored
+once with the Bunch-Kaufman LDL' and every solve from it is residual
+checked, with iterative refinement on the same factors.
 """
 
 from __future__ import annotations
 
 import hashlib
-import warnings
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import (
     EmptyNullspace,
@@ -82,39 +86,39 @@ def nullspace_basis(E: np.ndarray) -> NullspaceBasis:
 
 
 class AugmentedFactorization:
-    """Pivoted-LU factorization of a dense KKT-type matrix.
+    """Bunch-Kaufman LDL' factorization of a dense symmetric KKT-type matrix.
 
-    Solves are residual checked against SOLVE_RTOL relative to the
-    right-hand-side norm; one iterative-refinement step is applied when the
-    first backsolve misses the tolerance, and the ``refined`` flag records
-    that it was needed.  A solve that still misses fails loudly with the
-    error class the caller supplied.
+    Only the upper triangle is read (LAPACK ``dsytrf``), so the matrix must
+    be symmetric; 1x1 and 2x2 pivots handle the indefinite saddle-point
+    structure.  Solves are residual checked against SOLVE_RTOL relative to
+    the right-hand-side norm, with up to MAX_REFINE_STEPS iterative-
+    refinement steps against the stored matrix.  A solve that still misses
+    fails loudly with the error class the caller supplied.
     """
 
     def __init__(self, matrix: np.ndarray, error_cls=SingularKkt):
         self.matrix = matrix
         self.error_cls = error_cls
-        self.refined = False
         if not np.all(np.isfinite(matrix)):
             raise error_cls("matrix contains non-finite entries")
         try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-                self._lu = scipy.linalg.lu_factor(matrix)
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
+            lwork, _ = scipy.linalg.lapack.dsytrf_lwork(matrix.shape[0])
+            self._ldu, self._piv, info = scipy.linalg.lapack.dsytrf(
+                matrix, lwork=int(lwork)
+            )
+        except ValueError as exc:
             raise error_cls(f"factorization failed: {exc}") from exc
-        if not np.all(np.isfinite(self._lu[0])):
+        if info != 0:
+            raise error_cls(f"factorization failed: dsytrf info {info} (> 0: singular)")
+        if not np.all(np.isfinite(self._ldu)):
             raise error_cls("factorization produced non-finite factors")
-        if matrix.size and np.any(np.diag(self._lu[0]) == 0.0):
-            raise error_cls("matrix is exactly singular")
 
     def backsolve(self, rhs: np.ndarray) -> np.ndarray:
-        """Raw triangular backsolve without the residual guarantee."""
-        try:
-            return scipy.linalg.lu_solve(self._lu, rhs)
-        except ValueError as exc:
-            # Singular factors propagate non-finite values into the solve.
-            raise self.error_cls(f"backsolve broke down: {exc}") from exc
+        """Raw backsolve without the residual guarantee."""
+        x, info = scipy.linalg.lapack.dsytrs(self._ldu, self._piv, rhs)
+        if info != 0:
+            raise self.error_cls(f"backsolve failed (dsytrs info {info})")
+        return x
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         rhs = np.asarray(rhs, dtype=float)
@@ -132,7 +136,6 @@ class AugmentedFactorization:
                 best_x, best_rel = x, rel
             if best_rel <= SOLVE_RTOL:
                 return best_x
-            self.refined = True
             x = x + self.backsolve(residual)
         raise self.error_cls(
             f"backsolve residual {best_rel:.3e} exceeds {SOLVE_RTOL:.1e} "
@@ -209,26 +212,31 @@ def reduced_min_eig(C: np.ndarray, Z: np.ndarray) -> float:
     return float(scipy.linalg.eigh(M, eigvals_only=True)[0])
 
 
-def newton_backward_error(Q, A, x, s, rhs, dx, dlam, ds) -> float:
+def newton_data_norm(Q: np.ndarray, A: np.ndarray) -> float:
+    """The data part, max(||Q|| + ||A'|| + 1, ||A||), of the infinity norm
+    of the three-block Newton matrix; the iterate adds max(s + x)."""
+    a_inf = np.linalg.norm(A, np.inf) if A.shape[0] else 0.0
+    a_t_inf = np.linalg.norm(A.T, np.inf) if A.shape[0] else 0.0
+    return float(max(np.linalg.norm(Q, np.inf) + a_t_inf + 1.0, a_inf))
+
+
+def newton_backward_error(Q, A, x, s, rhs, dx, dlam, ds, data_norm=None) -> float:
     """Normwise backward error of a three-block solve.
 
     eta = ||residual|| / (||M|| ||delta|| + ||rhs||), the standard accuracy
     measure for a linear solve.  A plain rhs-relative residual is not
     attainable in double precision when the solution dwarfs the right-hand
     side, which happens at late iterates on infeasible problems whose dual
-    multipliers grow along the certificate ray.
+    multipliers grow along the certificate ray.  ``data_norm`` defaults to
+    :func:`newton_data_norm` of (Q, A).
     """
     e1 = rhs[: dx.size] - (Q @ dx + A.T @ dlam - ds)
     e2 = rhs[dx.size : dx.size + dlam.size] - A @ dx
     e3 = rhs[dx.size + dlam.size :] - (s * dx + x * ds)
     residual = np.linalg.norm(np.concatenate([e1, e2, e3]))
-    a_inf = np.linalg.norm(A, np.inf) if A.shape[0] else 0.0
-    a_t_inf = np.linalg.norm(A.T, np.inf) if A.shape[0] else 0.0
-    mat_norm = max(
-        np.linalg.norm(Q, np.inf) + a_t_inf + 1.0,
-        a_inf,
-        float(np.max(s + x)),
-    )
+    if data_norm is None:
+        data_norm = newton_data_norm(Q, A)
+    mat_norm = max(data_norm, float(np.max(s + x)))
     sol_norm = np.linalg.norm(np.concatenate([dx, dlam, ds]))
     return float(residual / (mat_norm * sol_norm + np.linalg.norm(rhs)))
 
@@ -239,7 +247,8 @@ def solve_newton_system(
     x: np.ndarray,
     s: np.ndarray,
     rhs: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    data_norm: Optional[float] = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Solve the three-block interior-point step system.
 
     Block form, with X = Diag(x) and S = Diag(s):
@@ -248,13 +257,14 @@ def solve_newton_system(
         [ A   0    0 ] [dlam] = [ rhs_2 ]
         [ S   0    X ] [ds  ]   [ rhs_3 ]
 
-    ds is eliminated through the last block row, leaving the augmented
-    system [[Q + X^{-1}S, A'], [A, 0]] for (dx, dlam), and is recovered as
-    ds = X^{-1}(rhs_3 - S dx).  The accuracy guarantee, enforced on the
-    full three-block system, is a normwise backward error of at most
-    SOLVE_RTOL; refinement runs through the condensed factorization, and a
-    factorization of the unreduced matrix is the fallback when that
-    stalls.
+    ds is eliminated through the last block row, leaving the symmetric
+    augmented system [[Q + X^{-1}S, A'], [A, 0]] for (dx, dlam), and is
+    recovered as ds = X^{-1}(rhs_3 - S dx).  The accuracy guarantee,
+    enforced on the full three-block system, is a normwise backward error
+    of at most SOLVE_RTOL; refinement runs through the one factorization,
+    and SingularNewton is raised when it stalls above the tolerance.
+    Returns (dx, dlam, ds, backward error).  ``data_norm`` is passed on to
+    :func:`newton_backward_error`.
     """
     Q = np.asarray(Q, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -268,11 +278,12 @@ def solve_newton_system(
     if np.any(x <= 0.0) or np.any(s <= 0.0):
         raise SingularNewton("iterate left the positive orthant")
     if np.linalg.norm(rhs) == 0.0:
-        return np.zeros(N), np.zeros(m), np.zeros(N)
+        return np.zeros(N), np.zeros(m), np.zeros(N), 0.0
 
     r1, r2, r3 = rhs[:N], rhs[N:N + m], rhs[N + m:]
     M = np.zeros((N + m, N + m))
-    M[:N, :N] = Q + np.diag(s / x)
+    M[:N, :N] = Q
+    M[np.diag_indices(N)] += s / x
     M[:N, N:] = A.T
     M[N:, :N] = A
     fact = AugmentedFactorization(M, SingularNewton)
@@ -296,44 +307,15 @@ def solve_newton_system(
     # Refinement progress is non-monotone near the boundary, so keep the
     # best solution seen.
     for _ in range(MAX_REFINE_STEPS + 1):
-        eta = newton_backward_error(Q, A, x, s, rhs, dx, dlam, ds)
+        eta = newton_backward_error(Q, A, x, s, rhs, dx, dlam, ds, data_norm)
         if np.isfinite(eta) and eta < best_eta:
             best, best_eta = (dx, dlam, ds), eta
         if best_eta <= SOLVE_RTOL:
-            return best
-        fact.refined = True
+            return (*best, best_eta)
         e1, e2, e3 = block_residual(dx, dlam, ds)
         cx, clam, cs = eliminate(e1, e2, e3)
         dx, dlam, ds = dx + cx, dlam + clam, ds + cs
-    return _newton_full_fallback(Q, A, x, s, rhs, best_eta)
-
-
-def _newton_full_fallback(Q, A, x, s, rhs, condensed_eta):
-    """Factorize the unreduced three-block matrix when the condensed solve
-    stalls above tolerance (rare; very ill-conditioned late iterates)."""
-    N = Q.shape[0]
-    m = A.shape[0]
-    M = np.zeros((2 * N + m, 2 * N + m))
-    M[:N, :N] = Q
-    M[:N, N:N + m] = A.T
-    M[:N, N + m:] = -np.eye(N)
-    M[N:N + m, :N] = A
-    M[N + m:, :N] = np.diag(s)
-    M[N + m:, N + m:] = np.diag(x)
-    fact = AugmentedFactorization(M, SingularNewton)
-    sol = fact.backsolve(rhs)
-    best = None
-    best_eta = np.inf
-    for _ in range(MAX_REFINE_STEPS + 1):
-        dx, dlam, ds = sol[:N], sol[N:N + m], sol[N + m:]
-        eta = newton_backward_error(Q, A, x, s, rhs, dx, dlam, ds)
-        if np.isfinite(eta) and eta < best_eta:
-            best, best_eta = (dx, dlam, ds), eta
-        if best_eta <= SOLVE_RTOL:
-            return best
-        fact.refined = True
-        sol = sol + fact.backsolve(rhs - M @ sol)
     raise SingularNewton(
-        f"Newton backsolve stalled (backward error {condensed_eta:.3e} condensed, "
-        f"{best_eta:.3e} unreduced) above {SOLVE_RTOL:.1e}"
+        f"Newton backsolve stalled at backward error {best_eta:.3e} above "
+        f"{SOLVE_RTOL:.1e} after {MAX_REFINE_STEPS} refinement steps"
     )

@@ -88,6 +88,34 @@ class TestSolve:
         path = gen(workdir, "feasible_sv", 6)
         assert run_cli("solve", str(path), "--max-iter", "2") == 3
 
+    def test_ambiguous_error_keeps_evidence(self, workdir):
+        # A known AmbiguousStatus instance at the default tol_mu: the optimal
+        # route scores 1.19e-6 against the 1e-6 recovery tolerance.
+        path = gen(workdir, "feasible_sv", 10, seed=5)
+        out = workdir / "sol.json"
+        assert run_cli("solve", str(path), "--output", str(out)) == 5
+        doc = json.loads(out.read_text())
+        assert doc["status"] == "error"
+        assert doc["iterations"] and doc["iterations"][0]["k"] == 0
+        recovery = doc["residuals"]["recovery"]
+        assert recovery["kkt_scaled"] == pytest.approx(1.19e-6, rel=0.02)
+
+    def test_singular_newton_error_keeps_log(self, workdir, monkeypatch):
+        import hqp.linsys
+        from hqp import SingularNewton
+
+        def fail(*args, **kwargs):
+            raise SingularNewton("forced")
+
+        monkeypatch.setattr(hqp.linsys, "solve_newton_system", fail)
+        path = gen(workdir, "feasible_sv", 6)
+        out = workdir / "sol.json"
+        assert run_cli("solve", str(path), "--output", str(out)) == 5
+        doc = json.loads(out.read_text())
+        assert doc["status"] == "error" and doc["message"] == "forced"
+        assert len(doc["iterations"]) == 1
+        assert "residuals" not in doc
+
     def test_theta_override_too_small_refused(self, workdir):
         # 1.4 leaves the reduced lifted Hessian indefinite on the worked
         # two-variable instance.

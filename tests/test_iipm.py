@@ -8,11 +8,14 @@ import pytest
 from hqp import (
     IipmConfig,
     IipmIterate,
+    InstanceKind,
+    InstanceSpec,
     QpProblem,
     SolveStatus,
     StepSearchFailed,
     embed,
     compute_theta,
+    generate,
     validate,
 )
 from hqp.embedding import manual_theta_report
@@ -284,6 +287,56 @@ class TestSolve:
             assert cur.centrality >= cfg.gamma * (1 - 1e-9)
         for row in rows[:-1]:
             assert row.newton_rel_resid <= 1e-10
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            InstanceSpec(InstanceKind.FEASIBLE_SV, 20, seed=1),
+            InstanceSpec(InstanceKind.INFEASIBLE_SV, 20, seed=1),
+            InstanceSpec(InstanceKind.RANDOM_SPD, 20, m=4, seed=1),
+        ],
+        ids=lambda spec: spec.kind.value,
+    )
+    def test_one_factorization_and_backward_error_per_step(self, spec, monkeypatch):
+        import hqp.iipm
+        import hqp.linsys
+
+        counts = {"factorizations": 0, "backward_errors": 0}
+        per_step = []
+        raw_backward_error = hqp.linsys.newton_backward_error
+
+        class CountingFactorization(hqp.linsys.AugmentedFactorization):
+            def __init__(self, *args, **kwargs):
+                counts["factorizations"] += 1
+                super().__init__(*args, **kwargs)
+
+        def counting_backward_error(*args, **kwargs):
+            counts["backward_errors"] += 1
+            return raw_backward_error(*args, **kwargs)
+
+        raw_direction = hqp.iipm.newton_direction
+
+        def counting_direction(hqp_problem, iterate, sigma):
+            counts.update(factorizations=0, backward_errors=0)
+            d = raw_direction(hqp_problem, iterate, sigma)
+            x, s = iterate.x, iterate.s
+            rhs = np.concatenate([-iterate.r_d, -iterate.r_p, -x * s + sigma * iterate.mu])
+            # Without data_norm the matrix norms are recomputed from scratch.
+            eta = raw_backward_error(
+                hqp_problem.Q, hqp_problem.A, x, s, rhs, d.dx, d.dlam, d.ds
+            )
+            per_step.append((counts["factorizations"], counts["backward_errors"], eta))
+            return d
+
+        monkeypatch.setattr(hqp.linsys, "AugmentedFactorization", CountingFactorization)
+        monkeypatch.setattr(hqp.linsys, "newton_backward_error", counting_backward_error)
+        monkeypatch.setattr(hqp.iipm, "newton_direction", counting_direction)
+        validated = validate(generate(spec))
+        _, log = solve(embed(validated, compute_theta(validated)))
+        assert len(per_step) == len(log) - 1 > 0
+        for row, (factorizations, backward_errors, eta) in zip(log.rows, per_step):
+            assert (factorizations, backward_errors) == (1, 1)
+            assert row.newton_rel_resid == pytest.approx(eta, rel=1e-12)
 
     def test_deterministic(self):
         h = one_var_hqp(theta=2.0)

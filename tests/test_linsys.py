@@ -3,7 +3,18 @@
 import numpy as np
 import pytest
 
-from hqp import EmptyNullspace, RankDeficient, SingularGram
+from hqp import (
+    EmptyNullspace,
+    InstanceKind,
+    InstanceSpec,
+    RankDeficient,
+    SingularGram,
+    SingularKkt,
+    compute_theta,
+    embed,
+    generate,
+    validate,
+)
 from hqp.linsys import (
     AugmentedFactorization,
     SOLVE_RTOL,
@@ -173,8 +184,9 @@ class TestNewtonSystem:
     def test_zero_rhs(self):
         Q = np.eye(2)
         A = np.array([[1.0, -1.0]])
-        dx, dlam, ds = solve_newton_system(Q, A, np.ones(2), np.ones(2), np.zeros(5))
+        dx, dlam, ds, eta = solve_newton_system(Q, A, np.ones(2), np.ones(2), np.zeros(5))
         assert not dx.any() and not dlam.any() and not ds.any()
+        assert eta == 0.0
 
     def test_central_point_with_full_centering(self):
         # On the lifted one-variable instance, x = (2,2), lam = 0,
@@ -189,7 +201,7 @@ class TestNewtonSystem:
         assert s == pytest.approx([2.0, 2.0])
         mu = x @ s / 2.0
         rhs = np.concatenate([np.zeros(2), np.zeros(1), -x * s + 1.0 * mu * np.ones(2)])
-        dx, dlam, ds = solve_newton_system(Q, A, x, s, rhs)
+        dx, dlam, ds, _ = solve_newton_system(Q, A, x, s, rhs)
         assert np.linalg.norm(np.concatenate([dx, dlam, ds]), np.inf) <= 1e-12
 
     def test_matches_dense_oracle(self):
@@ -202,12 +214,42 @@ class TestNewtonSystem:
             x = rng.random(n) + 0.1
             s = rng.random(n) + 0.1
             rhs = rng.standard_normal(2 * n + m)
-            dx, dlam, ds = solve_newton_system(Q, A, x, s, rhs)
+            dx, dlam, ds, returned_eta = solve_newton_system(Q, A, x, s, rhs)
             oracle = np.linalg.solve(full_newton_matrix(Q, A, x, s), rhs)
             sol = np.concatenate([dx, dlam, ds])
             assert np.allclose(sol, oracle, rtol=1e-9, atol=1e-11)
             eta = newton_backward_error(Q, A, x, s, rhs, dx, dlam, ds)
             assert eta <= SOLVE_RTOL
+            assert returned_eta == eta
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            InstanceSpec(InstanceKind.FEASIBLE_SV, 30, seed=1),
+            InstanceSpec(InstanceKind.INFEASIBLE_SV, 30, seed=2),
+            InstanceSpec(InstanceKind.RANDOM_SPD, 30, m=5, seed=3),
+        ],
+        ids=lambda spec: spec.kind.value,
+    )
+    def test_late_iterate_sweep(self, spec):
+        # Late interior-point iterates: complementarity products x_i s_i and
+        # ratios x_i / s_i spread over 1e-10 .. 1e6 on the lifted problem.
+        validated = validate(generate(spec))
+        hqp = embed(validated, compute_theta(validated))
+        rng = np.random.default_rng(spec.seed)
+        N = hqp.dim
+        for _ in range(10):
+            prod = 10.0 ** rng.uniform(-10, 6, N)
+            ratio = 10.0 ** rng.uniform(-10, 6, N)
+            x, s = np.sqrt(prod * ratio), np.sqrt(prod / ratio)
+            rhs = rng.standard_normal(2 * N + hqp.m)
+            dx, dlam, ds, eta = solve_newton_system(
+                hqp.Q, hqp.A, x, s, rhs, hqp.newton_data_norm
+            )
+            assert eta <= SOLVE_RTOL
+            assert eta == pytest.approx(
+                newton_backward_error(hqp.Q, hqp.A, x, s, rhs, dx, dlam, ds), rel=1e-12
+            )
 
     def test_positivity_required(self):
         from hqp import SingularNewton
@@ -218,18 +260,61 @@ class TestNewtonSystem:
             )
 
 
+def kkt_matrix(C, E):
+    m = E.shape[0]
+    return np.block([[C, E.T], [E, np.zeros((m, m))]])
+
+
 class TestAugmentedFactorization:
     def test_singular_matrix_raises(self):
-        from hqp import SingularKkt
+        for M in (
+            np.array([[1.0, 1.0], [1.0, 1.0]]),
+            np.zeros((2, 2)),
+            # Dependent constraint rows leave the zero block singular.
+            kkt_matrix(np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]])),
+        ):
+            with pytest.raises(SingularKkt):
+                AugmentedFactorization(M).solve(np.eye(M.shape[0])[-1])
 
-        with pytest.raises(SingularKkt):
-            AugmentedFactorization(np.array([[1.0, 1.0], [1.0, 1.0]])).solve(
-                np.array([1.0, 0.0])
-            )
+    @pytest.mark.parametrize(
+        "M",
+        [
+            np.array([[0.0, 1.0], [1.0, 0.0]]),
+            # Zero Hessian block: every diagonal entry is zero.
+            kkt_matrix(
+                np.zeros((3, 3)),
+                np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 3.0], [4.0, 0.0, 1.0]]),
+            ),
+            kkt_matrix(
+                random_spd_matrix(np.random.default_rng(3), 6),
+                random_full_rank(np.random.default_rng(4), 4, 6),
+            ),
+        ],
+        ids=["swap", "zero_hessian_kkt", "spd_kkt"],
+    )
+    def test_indefinite_needs_two_by_two_pivots(self, M):
+        rhs = np.random.default_rng(5).standard_normal(M.shape[0])
+        x = AugmentedFactorization(M).solve(rhs)
+        assert np.linalg.norm(M @ x - rhs) <= SOLVE_RTOL * np.linalg.norm(rhs)
+
+    def test_nonsymmetric_never_wrong(self):
+        # Only one triangle is factored; refinement against the full matrix
+        # either repairs the answer or the solve refuses it.
+        rng = np.random.default_rng(6)
+        solved = 0
+        for k in range(20):
+            n = int(rng.integers(2, 12))
+            M = random_spd_matrix(rng, n) + 10.0 ** (k % 4 - 2) * rng.standard_normal((n, n))
+            rhs = rng.standard_normal(n)
+            try:
+                x = AugmentedFactorization(M).solve(rhs)
+            except SingularKkt:
+                continue
+            solved += 1
+            assert np.linalg.norm(M @ x - rhs) <= SOLVE_RTOL * np.linalg.norm(rhs)
+        assert solved > 0
 
     def test_nonfinite_rejected(self):
-        from hqp import SingularKkt
-
         with pytest.raises(SingularKkt):
             AugmentedFactorization(np.array([[np.nan]]))
 
