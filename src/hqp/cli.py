@@ -64,7 +64,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--tol-res", type=float, default=1e-8)
     p_solve.add_argument("--gamma", type=float, default=1e-3)
     p_solve.add_argument("--beta", type=float, default=2.0)
-    p_solve.add_argument("--sigma", type=float, default=0.3)
     p_solve.add_argument("--max-iter", type=int, default=200)
     p_solve.add_argument("--zeta", type=float, default=None)
     p_solve.add_argument(
@@ -164,7 +163,6 @@ def _cmd_solve(args) -> int:
         config = IipmConfig(
             gamma=args.gamma,
             beta=args.beta,
-            sigma=args.sigma,
             zeta=args.zeta,
             tol_mu=args.tol_mu,
             tol_res=args.tol_res,

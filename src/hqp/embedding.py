@@ -487,8 +487,7 @@ def recover(
     else:
         raise AmbiguousStatus(
             f"neither recovery met tolerance {tol_recover:.1e} "
-            f"(optimal route {kkt_scaled:.3e}, certificate route {cert_scaled:.3e}); "
-            f"a smaller tol_mu sharpens recovery",
+            f"(optimal route {kkt_scaled:.3e}, certificate route {cert_scaled:.3e})",
             report=report,
         )
 

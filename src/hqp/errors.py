@@ -56,9 +56,10 @@ class StepSearchFailed(HqpError):
 class AmbiguousStatus(HqpError):
     """Neither optimal-point nor certificate recovery met tolerance."""
 
-    def __init__(self, message, report=None):
+    def __init__(self, message, report=None, log=None):
         super().__init__(message)
         self.report = report
+        self.log = log
 
 
 class TooLarge(HqpError):

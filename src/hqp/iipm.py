@@ -31,17 +31,16 @@ class IipmConfig:
     """Algorithm parameters.
 
     gamma in (0,1) and beta >= 1 shape the neighborhood; the centering
-    weight sigma is constant per run and clamped to [sigma_min, sigma_max]
-    with sigma_max <= 1/2.  zeta scales the all-ones initial iterate; None
-    selects max(10, ||c||_inf, ||f||_inf, theta).  Termination needs
-    mu <= tol_mu and the residual norm below tol_res relative to its
-    initial size.  Step search backtracks geometrically from the damped
-    positivity boundary.
+    weight of each step is Mehrotra's (mu_aff/mu)^3, clamped to
+    [sigma_min, sigma_max] with sigma_max <= 1/2.  zeta scales the all-ones
+    initial iterate; None selects max(10, ||c||_inf, ||f||_inf, theta).
+    Recovery is attempted once mu <= tol_mu and the residual norm is below
+    tol_res relative to its initial size.  Step search backtracks
+    geometrically from the damped positivity boundary.
     """
 
     gamma: float = 1e-3
     beta: float = 2.0
-    sigma: float = 0.3
     sigma_min: float = 0.05
     sigma_max: float = 0.5
     zeta: Optional[float] = None
@@ -75,14 +74,14 @@ class IipmConfig:
         if self.step_trials < 1:
             raise ValueError(f"step_trials must be at least 1, got {self.step_trials}")
 
-    def clamped_sigma(self) -> float:
-        return float(min(max(self.sigma, self.sigma_min), self.sigma_max))
+    def centering_weight(self, mu_aff: float, mu: float) -> float:
+        """Mehrotra's (1992) rule: clamp((mu_aff/mu)^3, sigma_min, sigma_max)."""
+        return float(min(max((mu_aff / mu) ** 3, self.sigma_min), self.sigma_max))
 
     def as_dict(self) -> dict:
         return {
             "gamma": self.gamma,
             "beta": self.beta,
-            "sigma": self.sigma,
             "sigma_min": self.sigma_min,
             "sigma_max": self.sigma_max,
             "zeta": self.zeta,
@@ -172,25 +171,39 @@ class NewtonDirection:
     dlam: np.ndarray
     ds: np.ndarray
     rel_residual: float
+    sigma: float
+    mu_aff: float
 
 
 def newton_direction(
-    hqp: HqpProblem, iterate: IipmIterate, sigma: float
+    hqp: HqpProblem, iterate: IipmIterate, config: IipmConfig
 ) -> NewtonDirection:
-    """Centering-corrected Newton direction at the current iterate.
+    """Adaptively centered Newton direction at the current iterate.
 
-    Right-hand side (-r_d, -r_p, -Xs + sigma mu e); the solve guarantees a
-    backward error of at most linsys.SOLVE_RTOL, recorded for the
-    iteration log.
+    One factorization serves two right-hand sides.  The affine-scaling one,
+    (-r_d, -r_p, -Xs), gets a plain backsolve; mu_aff is the duality
+    measure at min(1, positivity boundary) along it, and
+    sigma = config.centering_weight(mu_aff, mu).  The centered one,
+    (-r_d, -r_p, -Xs + sigma mu e), is solved to a backward error of at
+    most linsys.SOLVE_RTOL, recorded for the iteration log.
     """
-    x, s = iterate.x, iterate.s
-    rhs = np.concatenate(
-        [-iterate.r_d, -iterate.r_p, -x * s + sigma * iterate.mu * np.ones_like(x)]
-    )
+    x, s, mu = iterate.x, iterate.s, iterate.mu
+    rhs = np.concatenate([-iterate.r_d, -iterate.r_p, -x * s])
+    chosen = {}
+
+    def center(dx, dlam, ds):
+        alpha = min(1.0, positivity_boundary(x, s, dx, ds))
+        mu_aff = float((x + alpha * dx) @ (s + alpha * ds) / x.size)
+        sigma = config.centering_weight(mu_aff, mu)
+        chosen.update(sigma=sigma, mu_aff=mu_aff)
+        centered = rhs.copy()
+        centered[-x.size:] += sigma * mu
+        return centered
+
     dx, dlam, ds, rel = linsys.solve_newton_system(
-        hqp.Q, hqp.A, x, s, rhs, hqp.newton_data_norm
+        hqp.Q, hqp.A, x, s, rhs, hqp.newton_data_norm, center
     )
-    return NewtonDirection(dx=dx, dlam=dlam, ds=ds, rel_residual=rel)
+    return NewtonDirection(dx=dx, dlam=dlam, ds=ds, rel_residual=rel, **chosen)
 
 
 def positivity_boundary(x, s, dx, ds) -> float:
@@ -210,12 +223,13 @@ def step_length(
     config: IipmConfig,
     r0_norm: float,
     mu0: float,
-) -> float:
+) -> tuple[float, IipmIterate, NeighborhoodCheck]:
     """Backtracking step search.
 
     Trials start at min(1, 0.995 * positivity boundary) and shrink
     geometrically; a trial is accepted when the trial point stays in the
     neighborhood and mu decreases by at least the 1% of alpha fraction.
+    Returns the accepted alpha, the new iterate and its neighborhood check.
     """
     bound = positivity_boundary(iterate.x, iterate.s, direction.dx, direction.ds)
     trial0 = min(1.0, 0.995 * bound)
@@ -232,7 +246,7 @@ def step_length(
         )
         nbhd = in_neighborhood(candidate, config, r0_norm, mu0)
         if nbhd.ok and candidate.mu <= (1.0 - 0.01 * alpha) * iterate.mu:
-            return alpha
+            return alpha, candidate, nbhd
     raise StepSearchFailed(
         f"no acceptable step among {config.step_trials} trials "
         f"(boundary {bound:.3e}, mu {iterate.mu:.3e})"
@@ -243,9 +257,11 @@ def step_length(
 class IterationRecord:
     """One row of the run log.
 
-    alpha and sigma describe the step chosen *at* this iterate (NaN on the
-    terminal row); upsilon is the accumulated product of (1 - alpha) up to
-    this iterate, which must track the residual contraction exactly.
+    alpha, sigma and mu_aff (the duality measure the affine-scaling
+    direction reaches, which sets sigma) describe the step chosen *at* this
+    iterate (NaN on the terminal row); upsilon is the accumulated product
+    of (1 - alpha) up to this iterate, which must track the residual
+    contraction exactly.
     """
 
     k: int
@@ -254,6 +270,7 @@ class IterationRecord:
     rp_norm: float
     alpha: float
     sigma: float
+    mu_aff: float
     nbhd_ratio: float
     upsilon: float
     centrality: float
@@ -273,6 +290,7 @@ class IterationRecord:
             "rp_norm": self.rp_norm,
             "alpha": self.alpha,
             "sigma": self.sigma,
+            "mu_aff": self.mu_aff,
             "nbhd_ratio": self.nbhd_ratio,
             "upsilon": self.upsilon,
             "centrality": self.centrality,
@@ -343,12 +361,14 @@ def solve(
 ) -> tuple[SolveOutcome, IterationLog]:
     """Run the interior-point iteration from the all-ones start.
 
-    Terminates successfully when mu <= tol_mu and the residual norm has
-    dropped below tol_res relative to its initial size, then classifies the
-    final iterate through :func:`embedding.recover`.  Returns an
-    iteration-limit outcome after max_iter steps.  Numerical failures
-    (singular Newton systems, failed step searches) are raised with the
-    partial log attached.
+    Once mu <= tol_mu and the residual norm has dropped below tol_res
+    relative to its initial size, every iterate is classified through
+    :func:`embedding.recover`, and the first one that certifies a route
+    ends the run.  Returns an iteration-limit outcome after max_iter steps
+    when recovery was never attempted.  Numerical failures (singular
+    Newton systems, failed step searches) are raised with the partial log
+    attached; once recovery has been attempted, they and the iteration
+    limit raise AmbiguousStatus with the last recovery report instead.
     """
     config = config or IipmConfig()
     zeta = config.zeta if config.zeta is not None else automatic_zeta(hqp)
@@ -357,18 +377,21 @@ def solve(
     iterate = IipmIterate.compute(hqp, zeta * ones, np.zeros(hqp.A.shape[0]), zeta * ones)
     r0_norm = iterate.residual_norm()
     mu0 = iterate.mu
-    sigma = config.clamped_sigma()
     log = IterationLog()
 
     nbhd = in_neighborhood(iterate, config, r0_norm, mu0)
     upsilon = 1.0
     decay_err = float("nan")
     decay_abs = float("nan")
+    ambiguous = None  # the last recovery that certified neither route
 
     def terminal(it: IipmIterate) -> bool:
         return it.mu <= config.tol_mu and it.residual_norm_inf() <= config.tol_res * max(
             1.0, r0_norm
         )
+
+    def unresolved(reason: str) -> AmbiguousStatus:
+        return AmbiguousStatus(f"{ambiguous}; {reason}", report=ambiguous.report, log=log)
 
     for k in range(config.max_iter + 1):
         record = IterationRecord(
@@ -378,6 +401,7 @@ def solve(
             rp_norm=float(np.linalg.norm(iterate.r_p)),
             alpha=float("nan"),
             sigma=float("nan"),
+            mu_aff=float("nan"),
             nbhd_ratio=nbhd.residual_ratio,
             upsilon=upsilon,
             centrality=nbhd.centrality,
@@ -400,17 +424,18 @@ def solve(
             try:
                 outcome = recover(hqp, iterate.x, iterate.lam, iterate.s)
             except AmbiguousStatus as exc:
-                exc.log = log
-                raise
-            _final_diagnostics(outcome, hqp, iterate, k, zeta, True)
-            return outcome, log
+                ambiguous = exc
+            else:
+                _final_diagnostics(outcome, hqp, iterate, k, zeta, True)
+                return outcome, log
         if k == config.max_iter:
             break
 
         try:
-            direction = newton_direction(hqp, iterate, sigma)
+            direction = newton_direction(hqp, iterate, config)
             record.newton_rel_resid = direction.rel_residual
-            record.sigma = sigma
+            record.sigma = direction.sigma
+            record.mu_aff = direction.mu_aff
             if config.direction_diagnostics:
                 d_scale = np.sqrt(iterate.x / iterate.s)
                 denom = N * iterate.mu
@@ -420,18 +445,16 @@ def solve(
                 record.scaled_ds_norm = float(
                     np.linalg.norm(direction.ds * d_scale) / denom
                 )
-            alpha = step_length(hqp, iterate, direction, config, r0_norm, mu0)
+            alpha, new_iterate, nbhd = step_length(
+                hqp, iterate, direction, config, r0_norm, mu0
+            )
         except (SingularNewton, StepSearchFailed) as exc:
+            if ambiguous is not None:
+                raise unresolved(f"iteration stopped at k={k}: {exc}") from exc
             exc.log = log
             raise
         record.alpha = alpha
 
-        new_iterate = IipmIterate.compute(
-            hqp,
-            iterate.x + alpha * direction.dx,
-            iterate.lam + alpha * direction.dlam,
-            iterate.s + alpha * direction.ds,
-        )
         # Residuals contract by exactly (1 - alpha); track the departure
         # from that identity as a health check.  The absolute error is also
         # logged because the relative one degrades to evaluation noise once
@@ -443,8 +466,9 @@ def solve(
         decay_err = float(decay_abs / max(prev_norm, 1e-300))
         upsilon *= 1.0 - alpha
         iterate = new_iterate
-        nbhd = in_neighborhood(iterate, config, r0_norm, mu0)
 
+    if ambiguous is not None:
+        raise unresolved(f"iteration limit {config.max_iter} reached")
     outcome = SolveOutcome(status=SolveStatus.ITERATION_LIMIT)
     _final_diagnostics(outcome, hqp, iterate, config.max_iter, zeta, False)
     return outcome, log

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
@@ -93,21 +93,24 @@ class AugmentedFactorization:
     structure.  Solves are residual checked against SOLVE_RTOL relative to
     the right-hand-side norm, with up to MAX_REFINE_STEPS iterative-
     refinement steps against the stored matrix.  A solve that still misses
-    fails loudly with the error class the caller supplied.
+    fails loudly with the error class the caller supplied.  With
+    ``overwrite`` a Fortran-ordered matrix is factored in its own storage,
+    so no copy is made; only the raw :meth:`backsolve` is then available,
+    and the caller refines against its own data.
     """
 
-    def __init__(self, matrix: np.ndarray, error_cls=SingularKkt):
-        self.matrix = matrix
+    def __init__(self, matrix: np.ndarray, error_cls=SingularKkt, overwrite=False):
         self.error_cls = error_cls
         if not np.all(np.isfinite(matrix)):
             raise error_cls("matrix contains non-finite entries")
         try:
             lwork, _ = scipy.linalg.lapack.dsytrf_lwork(matrix.shape[0])
             self._ldu, self._piv, info = scipy.linalg.lapack.dsytrf(
-                matrix, lwork=int(lwork)
+                matrix, lwork=int(lwork), overwrite_a=int(overwrite)
             )
         except ValueError as exc:
             raise error_cls(f"factorization failed: {exc}") from exc
+        self.matrix = None if overwrite else matrix
         if info != 0:
             raise error_cls(f"factorization failed: dsytrf info {info} (> 0: singular)")
         if not np.all(np.isfinite(self._ldu)):
@@ -248,6 +251,7 @@ def solve_newton_system(
     s: np.ndarray,
     rhs: np.ndarray,
     data_norm: Optional[float] = None,
+    center: Optional[Callable] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Solve the three-block interior-point step system.
 
@@ -259,11 +263,15 @@ def solve_newton_system(
 
     ds is eliminated through the last block row, leaving the symmetric
     augmented system [[Q + X^{-1}S, A'], [A, 0]] for (dx, dlam), and is
-    recovered as ds = X^{-1}(rhs_3 - S dx).  The accuracy guarantee,
-    enforced on the full three-block system, is a normwise backward error
-    of at most SOLVE_RTOL; refinement runs through the one factorization,
-    and SingularNewton is raised when it stalls above the tolerance.
-    Returns (dx, dlam, ds, backward error).  ``data_norm`` is passed on to
+    recovered as ds = X^{-1}(rhs_3 - S dx).  The matrix is factored once,
+    in place.  With ``center``, ``rhs`` is a predictor right-hand side:
+    its plain backsolve (dx, dlam, ds), unrefined and unchecked, goes to
+    ``center``, which returns the right-hand side to solve next on the same
+    factors.  The accuracy guarantee, enforced on the full three-block
+    system for the last right-hand side, is a normwise backward error of
+    at most SOLVE_RTOL; refinement runs through the one factorization, and
+    SingularNewton is raised when it stalls above the tolerance.  Returns
+    (dx, dlam, ds, backward error).  ``data_norm`` is passed on to
     :func:`newton_backward_error`.
     """
     Q = np.asarray(Q, dtype=float)
@@ -277,16 +285,13 @@ def solve_newton_system(
         raise ValueError(f"rhs must have length {2 * N + m}, got {rhs.shape}")
     if np.any(x <= 0.0) or np.any(s <= 0.0):
         raise SingularNewton("iterate left the positive orthant")
-    if np.linalg.norm(rhs) == 0.0:
-        return np.zeros(N), np.zeros(m), np.zeros(N), 0.0
 
-    r1, r2, r3 = rhs[:N], rhs[N:N + m], rhs[N + m:]
-    M = np.zeros((N + m, N + m))
+    M = np.zeros((N + m, N + m), order="F")
     M[:N, :N] = Q
     M[np.diag_indices(N)] += s / x
     M[:N, N:] = A.T
     M[N:, :N] = A
-    fact = AugmentedFactorization(M, SingularNewton)
+    fact = AugmentedFactorization(M, SingularNewton, overwrite=True)
 
     def eliminate(t1, t2, t3):
         aug = fact.backsolve(np.concatenate([t1 + t3 / x, t2]))
@@ -294,6 +299,12 @@ def solve_newton_system(
         dlam = aug[N:]
         ds = (t3 - s * dx) / x
         return dx, dlam, ds
+
+    if center is not None:
+        rhs = np.asarray(center(*eliminate(rhs[:N], rhs[N:N + m], rhs[N + m:])), dtype=float)
+    if np.linalg.norm(rhs) == 0.0:
+        return np.zeros(N), np.zeros(m), np.zeros(N), 0.0
+    r1, r2, r3 = rhs[:N], rhs[N:N + m], rhs[N + m:]
 
     def block_residual(dx, dlam, ds):
         e1 = r1 - (Q @ dx + A.T @ dlam - ds)

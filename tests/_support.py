@@ -10,6 +10,20 @@ import numpy as np
 from hqp import QpKktPoint, QpProblem
 
 
+def full_newton_matrix(Q, A, x, s):
+    """The unreduced three-block interior-point matrix, as a dense oracle."""
+    N = Q.shape[0]
+    m = A.shape[0]
+    M = np.zeros((2 * N + m, 2 * N + m))
+    M[:N, :N] = Q
+    M[:N, N:N + m] = A.T
+    M[:N, N + m:] = -np.eye(N)
+    M[N:N + m, :N] = A
+    M[N + m:, :N] = np.diag(s)
+    M[N + m:, N + m:] = np.diag(x)
+    return M
+
+
 def random_spd_matrix(rng, n, shift=0.5):
     G = rng.standard_normal((n, n))
     return G.T @ G + shift * np.eye(n)

@@ -256,16 +256,9 @@ def test_criterion_5_theta_machinery():
 
 
 def _check_log_invariants(rec, failures):
-    result = rec["result"]
-    if result is not None:
-        log = result.log
-        data_scale = 1.0 + result.hqp.data_scale()
-    else:
-        log = rec["error"].log
-        problem = rec["problem"]
-        data_scale = 1.0 + max(
-            problem.data_scale(), compute_theta(validate(problem)).theta
-        )
+    assert rec["error"] is None, f"{rec['kind']} n={rec['n']} seed={rec['seed']}: {rec['error']}"
+    log = rec["result"].log
+    data_scale = 1.0 + rec["result"].hqp.data_scale()
     config = IipmConfig()
     rows = log.rows
     for prev, cur in zip(rows, rows[1:]):
@@ -293,8 +286,7 @@ def test_criterion_6_per_iteration_invariants(
     for batch in (infeasible_default, feasible_default, feasible_tight):
         for rec in batch:
             _check_log_invariants(rec, failures)
-            log = rec["result"].log if rec["result"] is not None else rec["error"].log
-            total_rows += len(log.rows)
+            total_rows += len(rec["result"].log.rows)
             runs += 1
     assert not failures, "\n".join(failures[:20])
     print(
@@ -344,10 +336,8 @@ def test_criterion_8_iteration_budget(
     # reported per size for growth inspection.
     table = {}
     for rec in infeasible_default + feasible_default:
-        if rec["result"] is not None:
-            iters = rec["result"].outcome.diagnostics["iterations"]
-        else:
-            iters = len(rec["error"].log.rows) - 1  # classification was ambiguous
+        assert rec["error"] is None, f"{rec['kind']} n={rec['n']} seed={rec['seed']}: {rec['error']}"
+        iters = rec["result"].outcome.diagnostics["iterations"]
         assert iters <= 200, f"{rec['kind']} n={rec['n']} seed={rec['seed']}: {iters}"
         table.setdefault((rec["kind"].value, rec["n"]), []).append(iters)
     lines = []

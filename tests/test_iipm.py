@@ -6,16 +6,21 @@ import numpy as np
 import pytest
 
 from hqp import (
+    AmbiguousStatus,
     IipmConfig,
     IipmIterate,
     InstanceKind,
     InstanceSpec,
+    QpKktPoint,
     QpProblem,
+    SingularNewton,
     SolveStatus,
     StepSearchFailed,
     embed,
     compute_theta,
     generate,
+    qp_kkt_residuals,
+    solve_qp,
     validate,
 )
 from hqp.embedding import manual_theta_report
@@ -32,7 +37,7 @@ from hqp.iipm import (
 )
 from hqp.embedding import lifted_nullspace_basis
 
-from _support import planted_kkt_instance
+from _support import full_newton_matrix, planted_kkt_instance
 
 
 def one_var_hqp(theta=2.0, f=1.0):
@@ -67,9 +72,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             IipmConfig(**kwargs)
 
-    def test_sigma_clamped(self):
-        assert IipmConfig(sigma=0.9).clamped_sigma() == 0.5
-        assert IipmConfig(sigma=0.01).clamped_sigma() == 0.05
+    def test_centering_weight_clamps_mehrotra_ratio(self):
+        cfg = IipmConfig()
+        assert cfg.centering_weight(0.9, 1.0) == 0.5
+        assert cfg.centering_weight(0.1, 1.0) == 0.05
+        assert cfg.centering_weight(0.0, 1.0) == 0.05
+        assert cfg.centering_weight(-1e-18, 1.0) == 0.05
+        assert cfg.centering_weight(1.4, 2.0) == pytest.approx(0.7**3, rel=1e-15)
+        narrow = IipmConfig(sigma_min=0.2, sigma_max=0.25)
+        assert narrow.centering_weight(0.7, 1.0) == 0.25
+        assert narrow.centering_weight(0.5, 1.0) == 0.2
 
 
 class TestResiduals:
@@ -153,24 +165,39 @@ class TestNeighborhood:
 
 
 class TestNewtonDirection:
-    def test_centered_feasible_point_full_centering(self):
+    def test_centered_feasible_point_scales_affine_direction(self):
+        # At a feasible, exactly centered point (Xs = mu e) the centered
+        # right-hand side is (1 - sigma) times the affine one, so the two
+        # directions differ by that factor, and mu_aff follows from the
+        # affine direction in closed form.
         h = one_var_hqp(theta=2.0)
         x = np.array([2.0, 2.0])
         s = h.Q @ x + h.q  # lam = 0 keeps the dual residual zero
         it = IipmIterate.compute(h, x, np.zeros(1), s)
-        d = newton_direction(h, it, sigma=1.0)
-        assert np.linalg.norm(np.concatenate([d.dx, d.dlam, d.ds]), np.inf) <= 1e-12
+        cfg = IipmConfig()
+        d = newton_direction(h, it, cfg)
+        assert cfg.sigma_min <= d.sigma <= cfg.sigma_max
+        assert d.sigma == cfg.centering_weight(d.mu_aff, it.mu)
+        aff = np.linalg.solve(
+            full_newton_matrix(h.Q, h.A, x, s), np.concatenate([np.zeros(3), -x * s])
+        )
+        assert np.allclose(
+            np.concatenate([d.dx, d.dlam, d.ds]), (1.0 - d.sigma) * aff, atol=1e-12
+        )
+        dx_aff, ds_aff = aff[:2], aff[3:]
+        alpha = min(1.0, positivity_boundary(x, s, dx_aff, ds_aff))
+        expected = (1.0 - alpha) * it.mu + alpha**2 * (dx_aff @ ds_aff) / 2.0
+        assert d.mu_aff == pytest.approx(expected, rel=1e-12, abs=1e-14 * it.mu)
 
     def test_block_identities(self):
         h = one_var_hqp()
         cfg = IipmConfig()
         it, _ = make_initial(h, cfg)
-        sigma = 0.3
-        d = newton_direction(h, it, sigma)
+        d = newton_direction(h, it, cfg)
         assert np.allclose(h.A @ d.dx, -it.r_p, atol=1e-10)
         assert np.allclose(
             it.s * d.dx + it.x * d.ds,
-            -it.x * it.s + sigma * it.mu,
+            -it.x * it.s + d.sigma * it.mu,
             atol=1e-10 * max(1.0, it.mu),
         )
         assert d.rel_residual <= 1e-10
@@ -192,7 +219,12 @@ class TestStepLength:
         from hqp.iipm import NewtonDirection
 
         zero = NewtonDirection(
-            dx=np.zeros(h.dim), dlam=np.zeros(h.m), ds=np.zeros(h.dim), rel_residual=0.0
+            dx=np.zeros(h.dim),
+            dlam=np.zeros(h.m),
+            ds=np.zeros(h.dim),
+            rel_residual=0.0,
+            sigma=cfg.sigma_min,
+            mu_aff=it.mu,
         )
         with pytest.raises(StepSearchFailed):
             step_length(h, it, zero, cfg, it.residual_norm(), it.mu)
@@ -201,13 +233,16 @@ class TestStepLength:
         h = one_var_hqp(theta=2.0)
         cfg = IipmConfig()
         it, _ = make_initial(h, cfg)
-        d = newton_direction(h, it, cfg.clamped_sigma())
-        alpha = step_length(h, it, d, cfg, it.residual_norm(), it.mu)
+        d = newton_direction(h, it, cfg)
+        alpha, stepped, nbhd = step_length(h, it, d, cfg, it.residual_norm(), it.mu)
         assert alpha >= 0.1
-        stepped = IipmIterate.compute(
+        fresh = IipmIterate.compute(
             h, it.x + alpha * d.dx, it.lam + alpha * d.dlam, it.s + alpha * d.ds
         )
-        assert stepped.mu <= (1 - 0.01 * alpha) * it.mu
+        for name in ("x", "lam", "s", "r_d", "r_p"):
+            assert np.array_equal(getattr(stepped, name), getattr(fresh, name))
+        assert stepped.mu == fresh.mu <= (1 - 0.01 * alpha) * it.mu
+        assert nbhd == in_neighborhood(fresh, cfg, it.residual_norm(), it.mu)
 
 
 class TestSolve:
@@ -301,7 +336,7 @@ class TestSolve:
         import hqp.iipm
         import hqp.linsys
 
-        counts = {"factorizations": 0, "backward_errors": 0}
+        counts = {"factorizations": 0, "backsolves": 0, "backward_errors": 0}
         per_step = []
         raw_backward_error = hqp.linsys.newton_backward_error
 
@@ -310,33 +345,95 @@ class TestSolve:
                 counts["factorizations"] += 1
                 super().__init__(*args, **kwargs)
 
+            def backsolve(self, rhs):
+                counts["backsolves"] += 1
+                return super().backsolve(rhs)
+
         def counting_backward_error(*args, **kwargs):
             counts["backward_errors"] += 1
             return raw_backward_error(*args, **kwargs)
 
         raw_direction = hqp.iipm.newton_direction
 
-        def counting_direction(hqp_problem, iterate, sigma):
-            counts.update(factorizations=0, backward_errors=0)
-            d = raw_direction(hqp_problem, iterate, sigma)
-            x, s = iterate.x, iterate.s
-            rhs = np.concatenate([-iterate.r_d, -iterate.r_p, -x * s + sigma * iterate.mu])
-            # Without data_norm the matrix norms are recomputed from scratch.
-            eta = raw_backward_error(
-                hqp_problem.Q, hqp_problem.A, x, s, rhs, d.dx, d.dlam, d.ds
+        def counting_direction(hqp_problem, iterate, config):
+            counts.update(factorizations=0, backsolves=0, backward_errors=0)
+            d = raw_direction(hqp_problem, iterate, config)
+            x, s, mu = iterate.x, iterate.s, iterate.mu
+            Q, A = hqp_problem.Q, hqp_problem.A
+            # The affine-scaling direction from a dense solve of the
+            # unreduced three-block system, independent of the solver's.
+            N, m = x.size, A.shape[0]
+            aff = np.linalg.solve(
+                full_newton_matrix(Q, A, x, s),
+                np.concatenate([-iterate.r_d, -iterate.r_p, -x * s]),
             )
-            per_step.append((counts["factorizations"], counts["backward_errors"], eta))
+            dx_aff, ds_aff = aff[:N], aff[N + m :]
+            alpha = min(1.0, positivity_boundary(x, s, dx_aff, ds_aff))
+            mu_aff = (x + alpha * dx_aff) @ (s + alpha * ds_aff) / N
+            rhs = np.concatenate([-iterate.r_d, -iterate.r_p, -x * s + d.sigma * mu])
+            # Without data_norm the matrix norms are recomputed from scratch.
+            eta = raw_backward_error(Q, A, x, s, rhs, d.dx, d.dlam, d.ds)
+            per_step.append((dict(counts), mu, mu_aff, eta))
             return d
 
         monkeypatch.setattr(hqp.linsys, "AugmentedFactorization", CountingFactorization)
         monkeypatch.setattr(hqp.linsys, "newton_backward_error", counting_backward_error)
         monkeypatch.setattr(hqp.iipm, "newton_direction", counting_direction)
         validated = validate(generate(spec))
-        _, log = solve(embed(validated, compute_theta(validated)))
+        cfg = IipmConfig()
+        _, log = solve(embed(validated, compute_theta(validated)), cfg)
         assert len(per_step) == len(log) - 1 > 0
-        for row, (factorizations, backward_errors, eta) in zip(log.rows, per_step):
-            assert (factorizations, backward_errors) == (1, 1)
+        for row, (step, mu, mu_aff, eta) in zip(log.rows, per_step):
+            assert step["factorizations"] == 1
+            assert step["backward_errors"] == 1
+            # The predictor's plain backsolve, then the centered solve.
+            assert step["backsolves"] == 2
+            assert cfg.sigma_min <= row.sigma <= cfg.sigma_max
+            assert row.mu_aff == pytest.approx(mu_aff, rel=1e-9, abs=1e-9 * mu)
+            assert row.sigma == pytest.approx(cfg.centering_weight(mu_aff, mu), rel=1e-9)
             assert row.newton_rel_resid == pytest.approx(eta, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, n, m, seed, cost_scale",
+        [
+            *(
+                ("feasible_sv", n, 1, seed, 1.0)
+                for n, seed in ((10, 5), (10, 12), (10, 19), (25, 9), (50, 5), (100, 9))
+            ),
+            ("random_spd", 30, 5, 2, 1e-3),
+        ],
+    )
+    def test_formerly_ambiguous_instances_solve(self, kind, n, m, seed, cost_scale):
+        # Each raised AmbiguousStatus at the defaults when the first iterate
+        # with mu <= tol_mu ended the run; recovery now decides when to stop.
+        p = generate(InstanceSpec(InstanceKind(kind), n, m=m, seed=seed))
+        problem = QpProblem(p.C * cost_scale, p.c * cost_scale, p.E, p.f)
+        outcome = solve_qp(problem).outcome
+        assert outcome.status is SolveStatus.OPTIMAL
+        res = qp_kkt_residuals(problem, QpKktPoint(outcome.y, outcome.nu, outcome.xi))
+        assert res.max_violation() <= 1e-6 * (1.0 + problem.data_scale())
+
+    def test_numerical_failure_after_recovery_is_ambiguous(self, monkeypatch):
+        # feasible_sv n=10 seed 12 first reaches mu <= tol_mu with neither
+        # route certified; a Newton failure from then on ends the run with
+        # the last recovery report and the log.
+        import hqp.linsys
+
+        raw = hqp.linsys.solve_newton_system
+
+        def fail_late(Q, A, x, s, *args):
+            if x @ s / x.size <= IipmConfig().tol_mu:
+                raise SingularNewton("forced")
+            return raw(Q, A, x, s, *args)
+
+        monkeypatch.setattr(hqp.linsys, "solve_newton_system", fail_late)
+        validated = validate(generate(InstanceSpec(InstanceKind.FEASIBLE_SV, 10, seed=12)))
+        with pytest.raises(AmbiguousStatus, match="forced") as info:
+            solve(embed(validated, compute_theta(validated)))
+        report = info.value.report
+        assert report.kkt_scaled > report.tol and report.certificate_scaled > report.tol
+        rows = info.value.log.rows
+        assert rows[-1].mu <= IipmConfig().tol_mu < rows[-2].mu
 
     def test_deterministic(self):
         h = one_var_hqp(theta=2.0)

@@ -26,7 +26,7 @@ from hqp.linsys import (
     solve_newton_system,
 )
 
-from _support import random_full_rank, random_spd_matrix
+from _support import full_newton_matrix, random_full_rank, random_spd_matrix
 
 
 class TestNullspaceBasis:
@@ -165,19 +165,6 @@ class TestReducedMinEig:
     def test_empty_basis(self):
         with pytest.raises(EmptyNullspace):
             reduced_min_eig(np.eye(2), np.zeros((2, 0)))
-
-
-def full_newton_matrix(Q, A, x, s):
-    N = Q.shape[0]
-    m = A.shape[0]
-    M = np.zeros((2 * N + m, 2 * N + m))
-    M[:N, :N] = Q
-    M[:N, N:N + m] = A.T
-    M[:N, N + m:] = -np.eye(N)
-    M[N:N + m, :N] = A
-    M[N + m:, :N] = np.diag(s)
-    M[N + m:, N + m:] = np.diag(x)
-    return M
 
 
 class TestNewtonSystem:
