@@ -12,7 +12,6 @@ from .embedding import (
     HqpProblem,
     SolveOutcome,
     SolveStatus,
-    ThetaMode,
     ThetaReport,
     check_reduced_hessian_pd,
     compute_theta,
@@ -24,14 +23,11 @@ from .embedding import (
 from .errors import (
     AmbiguousStatus,
     DimensionMismatch,
-    EmptyNullspace,
     FreeVariable,
     HqpError,
-    NonPositiveAlpha,
     NotReducedPd,
     ProblemFormatError,
     RankDeficient,
-    SingularGram,
     SingularKkt,
     SingularNewton,
     StepSearchFailed,
@@ -64,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguousStatus",
     "DimensionMismatch",
-    "EmptyNullspace",
     "FreeVariable",
     "GeneralQp",
     "HqpError",
@@ -76,21 +71,18 @@ __all__ = [
     "InstanceKind",
     "InstanceSpec",
     "IterationLog",
-    "NonPositiveAlpha",
     "NotReducedPd",
     "OracleResult",
     "ProblemFormatError",
     "QpKktPoint",
     "QpProblem",
     "RankDeficient",
-    "SingularGram",
     "SingularKkt",
     "SingularNewton",
     "SolveOutcome",
     "SolveResult",
     "SolveStatus",
     "StepSearchFailed",
-    "ThetaMode",
     "ThetaReport",
     "TooLarge",
     "ValidatedProblem",

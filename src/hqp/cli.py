@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import fileio
-from .embedding import SolveStatus, ThetaMode
+from .embedding import SolveStatus
 from .errors import (
     AmbiguousStatus,
     HqpError,
@@ -43,12 +43,6 @@ EXIT_ITERATION_LIMIT = 3
 EXIT_INPUT = 4
 EXIT_NUMERICAL = 5
 
-_THETA_MODES = {
-    "exact": ThetaMode.EXACT_Z,
-    "norm": ThetaMode.NORM_RELAXED,
-    "alpha": ThetaMode.USER_ALPHA,
-}
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -69,10 +63,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--theta", type=float, default=None,
         help="override the automatic embedding parameter (still convexity checked)",
-    )
-    p_solve.add_argument(
-        "--theta-mode", choices=sorted(_THETA_MODES), default=None,
-        help="which positive-definiteness bound to use when choosing theta",
     )
     p_solve.add_argument("--format", choices=("json", "text"), default="json")
     p_solve.add_argument("--log", default=None, help="write the per-iteration CSV here")
@@ -172,11 +162,8 @@ def _cmd_solve(args) -> int:
         _emit({"status": "error", "message": str(exc)}, args.format, args.output)
         return EXIT_INPUT
 
-    mode = _THETA_MODES[args.theta_mode] if args.theta_mode else None
     try:
-        result = solve_qp(
-            problem, config, theta_mode=mode, theta_override=args.theta
-        )
+        result = solve_qp(problem, config, theta_override=args.theta)
     except (SingularKkt, SingularNewton, StepSearchFailed, AmbiguousStatus) as exc:
         # Keep the partial log and the recovery scores the solve attached.
         doc = {"status": "error", "message": str(exc)}
@@ -231,6 +218,15 @@ def _load_solution(path) -> dict:
     return doc
 
 
+def _finite_vector(doc: dict, key: str) -> np.ndarray:
+    """``doc[key]`` as a float vector; NaN, Infinity and overflowing
+    literals are refused, as in problem files."""
+    v = np.asarray(doc[key], dtype=float)
+    if not np.all(np.isfinite(v)):
+        raise ProblemFormatError(f"{key}: entries must be finite")
+    return v
+
+
 def _cmd_check(args) -> int:
     try:
         problem = fileio.load_problem(args.problem)
@@ -238,20 +234,20 @@ def _cmd_check(args) -> int:
         status = doc["status"]
         if status == "optimal":
             point = QpKktPoint(
-                y=np.asarray(doc["y"], dtype=float),
-                nu=np.asarray(doc["nu"], dtype=float),
-                xi=np.asarray(doc["xi"], dtype=float),
+                y=_finite_vector(doc, "y"),
+                nu=_finite_vector(doc, "nu"),
+                xi=_finite_vector(doc, "xi"),
             )
             worst = qp_kkt_residuals(problem, point).max_violation()
         elif status == "infeasible":
             cert = InfeasCertificate(
-                nu=np.asarray(doc["cert_nu"], dtype=float),
-                xi=np.asarray(doc["cert_xi"], dtype=float),
+                nu=_finite_vector(doc, "cert_nu"),
+                xi=_finite_vector(doc, "cert_xi"),
             )
             worst = check_certificate(problem, cert).max_violation()
         else:
             raise ProblemFormatError(f"nothing to check for status {status!r}")
-    except (ProblemFormatError, HqpError, KeyError, TypeError) as exc:
+    except (ProblemFormatError, HqpError, KeyError, TypeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     # Tolerance scales with the problem data only; scaling by the point

@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import linsys
-from .errors import AmbiguousStatus, NonPositiveAlpha, NotReducedPd
+from .errors import AmbiguousStatus, NotReducedPd
 from .qp import (
     CertificateResiduals,
     InfeasCertificate,
@@ -39,18 +39,10 @@ from .qp import (
     qp_kkt_residuals,
 )
 
-# Largest dimension at which the exact reduced-Hessian eigenvalue bound is
-# the default; beyond it the norm-relaxed bound avoids the eigen-solve.
-EXACT_Z_MAX_N = 2000
-
-
-class ThetaMode(str, enum.Enum):
-    """Which lower bound is used to make the lifted Hessian positive
-    definite on the constraint null space."""
-
-    EXACT_Z = "exact_Z"          # ||Z'(Cd+c)||^2 / lambda_min(Z'CZ) - d'Cd - 2c'd
-    NORM_RELAXED = "norm_relaxed"  # ||Cd+c||^2 / lambda_min(Z'CZ) - d'Cd - 2c'd
-    USER_ALPHA = "user_alpha"    # ||Cd+c||^2 / alpha - d'Cd - 2c'd
+# Multiplicative safety margin on theta, and the floor that keeps it
+# positive.
+THETA_MARGIN = 0.1
+THETA_FLOOR = 1.0
 
 
 @dataclass(frozen=True)
@@ -63,7 +55,6 @@ class ThetaReport:
     """
 
     theta_star: float
-    bound_used: Optional[ThetaMode]
     pd_bound_rhs: float
     condition1_rhs: float
     theta: float
@@ -74,7 +65,6 @@ class ThetaReport:
         clean = lambda v: v if np.isfinite(v) else None
         return {
             "theta_star": self.theta_star,
-            "bound_used": self.bound_used.value if self.bound_used else None,
             "pd_bound_rhs": clean(self.pd_bound_rhs),
             "condition1_rhs": clean(self.condition1_rhs),
             "theta": self.theta,
@@ -156,12 +146,13 @@ class HqpKktResiduals:
     nonneg: float
 
     def max_violation(self) -> float:
+        """Largest residual; NaN when any residual is NaN."""
         parts = [abs(self.stat_tau), self.comp_max, self.nonneg]
         if self.stat_y.size:
             parts.append(np.linalg.norm(self.stat_y, np.inf))
         if self.eq.size:
             parts.append(np.linalg.norm(self.eq, np.inf))
-        return float(max(parts))
+        return float(np.max(parts))
 
 
 def hqp_kkt_residuals(hqp: HqpProblem, point: HqpKktPoint) -> HqpKktResiduals:
@@ -203,87 +194,52 @@ def compute_theta_star(validated: ValidatedProblem) -> float:
     return float(0.5 * y_tilde @ problem.C @ y_tilde + problem.c @ y_tilde)
 
 
-def default_theta_mode(validated: ValidatedProblem) -> ThetaMode:
-    if validated.problem.min_eig_lower_bound is not None:
-        return ThetaMode.USER_ALPHA
-    if validated.nullspace.dim >= 1 and validated.n <= EXACT_Z_MAX_N:
-        return ThetaMode.EXACT_Z
-    return ThetaMode.NORM_RELAXED
-
-
-def compute_theta(
-    validated: ValidatedProblem,
-    margin: float = 0.1,
-    mode: Optional[ThetaMode] = None,
-    theta_floor: float = 1.0,
-) -> ThetaReport:
+def compute_theta(validated: ValidatedProblem) -> ThetaReport:
     """Choose the embedding parameter.
 
-    theta = (1 + margin) * max(2|theta_star|, pd_bound_rhs, theta_floor),
-    where pd_bound_rhs is the selected positive-definiteness bound evaluated
-    with the minimum-norm particular solution d of Ed = f.  With an empty
+    theta = (1 + THETA_MARGIN) * max(2|theta_star|, pd_bound_rhs, THETA_FLOOR)
+    with pd_bound_rhs = ||Z'g||^2 / lambda_min(Z'CZ) - d'Cd - 2c'd, where d
+    is the minimum-norm solution of Ed = f and g = Cd + c; above it the
+    lifted Hessian is positive definite on null([E, -f]).  With an empty
     null space (m = n) the reduced Hessian is the single entry
-    theta + d'Cd + 2c'd, so the bound degenerates to -d'Cd - 2c'd.
-    The floor keeps theta strictly positive.
+    theta + d'Cd + 2c'd, so the bound degenerates to -d'Cd - 2c'd.  The
+    floor keeps theta strictly positive.
     """
-    if margin <= 0.0:
-        raise ValueError(f"margin must be positive, got {margin}")
-    if theta_floor <= 0.0:
-        raise ValueError(f"theta_floor must be positive, got {theta_floor}")
     problem = validated.problem
-    if mode is None:
-        mode = default_theta_mode(validated)
-    mode = ThetaMode(mode)
-
+    d = validated.d
     theta_star = compute_theta_star(validated)
-    d = linsys.min_norm_particular(problem.E, problem.f)
     dCd = float(d @ problem.C @ d)
     cd = float(problem.c @ d)
-    if validated.nullspace.dim == 0:
+    if validated.lambda_min is None:
         pd_bound_rhs = -dCd - 2.0 * cd
     else:
         grad = problem.C @ d + problem.c
-        if mode is ThetaMode.EXACT_Z:
-            numerator = float(np.sum((validated.Z.T @ grad) ** 2))
-            denominator = validated.lambda_min
-        elif mode is ThetaMode.NORM_RELAXED:
-            numerator = float(grad @ grad)
-            denominator = validated.lambda_min
-        else:
-            alpha = problem.min_eig_lower_bound
-            if alpha is None or alpha <= 0.0:
-                raise NonPositiveAlpha(
-                    "user_alpha mode needs a positive eigenvalue lower bound"
-                )
-            numerator = float(grad @ grad)
-            denominator = alpha
-        pd_bound_rhs = numerator / denominator - dCd - 2.0 * cd
+        numerator = float(np.sum((validated.Z.T @ grad) ** 2))
+        pd_bound_rhs = numerator / validated.lambda_min - dCd - 2.0 * cd
 
     condition1_rhs = 2.0 * abs(theta_star)
-    theta = (1.0 + margin) * max(condition1_rhs, pd_bound_rhs, theta_floor)
+    theta = (1.0 + THETA_MARGIN) * max(condition1_rhs, pd_bound_rhs, THETA_FLOOR)
     return ThetaReport(
         theta_star=theta_star,
-        bound_used=mode,
         pd_bound_rhs=float(pd_bound_rhs),
         condition1_rhs=condition1_rhs,
         theta=float(theta),
-        margin=margin,
+        margin=THETA_MARGIN,
     )
 
 
 def lifted_nullspace_basis(validated: ValidatedProblem) -> np.ndarray:
     """Basis [[Z, d], [0, 1]] of the null space of [E, -f].
 
-    Z is the cached orthonormal basis of null(E) and d the minimum-norm
-    particular solution of Ed = f; the block column (d, 1) accounts for the
-    scaling variable.  Full column rank because d is orthogonal to range(Z).
+    Z is the orthonormal basis of null(E) and d the minimum-norm
+    particular solution of Ed = f, both kept by validation; the block
+    column (d, 1) accounts for the scaling variable.  Full column rank
+    because d is orthogonal to range(Z).
     """
-    problem = validated.problem
-    d = linsys.min_norm_particular(problem.E, problem.f)
-    k = validated.nullspace.dim
+    k = validated.Z.shape[1]
     Zhat = np.zeros((validated.n + 1, k + 1))
     Zhat[: validated.n, :k] = validated.Z
-    Zhat[: validated.n, k] = d
+    Zhat[: validated.n, k] = validated.d
     Zhat[validated.n, k] = 1.0
     return Zhat
 
@@ -292,7 +248,9 @@ def check_reduced_hessian_pd(validated: ValidatedProblem, theta: float) -> float
     """Smallest eigenvalue of the lifted Hessian reduced onto null([E, -f]).
 
     Positive for any theta produced by :func:`compute_theta`; a
-    nonpositive value is the witness that theta is too small.
+    nonpositive value is the witness that theta is too small.  Kept as an
+    independent verifier: the solve path uses the equivalent scalar test
+    of :func:`manual_theta_report`.
     """
     problem = validated.problem
     Zhat = lifted_nullspace_basis(validated)
@@ -326,21 +284,24 @@ def embed(validated: ValidatedProblem, theta_report: ThetaReport) -> HqpProblem:
 def manual_theta_report(validated: ValidatedProblem, theta: float) -> ThetaReport:
     """Wrap a user-supplied theta, refusing values that break convexity.
 
-    The reduced positive-definiteness check is always run; the magnitude
-    condition against theta_star is reported but not enforced, since a
-    nonconvex lift is the only hard failure mode.
+    On null([E, -f]) at tau = 1 the lifted quadratic form is
+    y'Cy + 2c'y + theta with Ey = f, whose minimum is theta + 2 theta_star;
+    since validation made C positive definite on null(E), the lifted
+    Hessian is positive definite there exactly when theta > -2 theta_star.
+    That test is always run; the magnitude condition theta > 2|theta_star|
+    is reported but not enforced, since a nonconvex lift is the only hard
+    failure mode.
     """
     if theta <= 0.0:
         raise NotReducedPd(f"theta must be positive, got {theta}")
-    lam = check_reduced_hessian_pd(validated, theta)
-    if lam <= 0.0:
+    theta_star = compute_theta_star(validated)
+    if theta <= -2.0 * theta_star:
         raise NotReducedPd(
             f"supplied theta {theta} leaves the reduced Hessian indefinite "
-            f"(smallest eigenvalue {lam:.3e})"
+            f"(needs theta > -2 theta_star = {-2.0 * theta_star:.6e})"
         )
     return ThetaReport(
-        theta_star=compute_theta_star(validated),
-        bound_used=None,
+        theta_star=theta_star,
         pd_bound_rhs=float("nan"),
         condition1_rhs=float("nan"),
         theta=float(theta),

@@ -21,24 +21,12 @@ class NotReducedPd(HqpError):
     """Hessian is not positive definite on the constraint null space."""
 
 
-class EmptyNullspace(HqpError):
-    """Requested a reduced-space quantity but the null space is trivial."""
-
-
 class SingularKkt(HqpError):
     """Equality-constrained KKT system could not be solved accurately."""
 
 
-class SingularGram(HqpError):
-    """Gram matrix E E^T could not be factorized."""
-
-
 class SingularNewton(HqpError):
     """Interior-point Newton system could not be solved accurately."""
-
-
-class NonPositiveAlpha(HqpError):
-    """Eigenvalue lower bound must be positive."""
 
 
 class FreeVariable(HqpError):

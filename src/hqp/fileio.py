@@ -6,7 +6,7 @@ A problem file is a single JSON document:
       "n": int, "m": int,
       "C": <matrix>, "c": [n numbers],
       "E": <matrix>, "f": [m numbers],
-      "min_eig_lower_bound": number        (optional)
+      "min_eig_lower_bound": number        (optional, ignored)
     }
 
 where <matrix> is either
@@ -14,7 +14,10 @@ where <matrix> is either
 or
     {"format": "coo", "rows": [...], "cols": [...], "vals": [...]}
 with 0-based indices and duplicate entries summed.  Unknown fields are
-rejected, as are non-finite numbers.
+rejected, as are non-finite numbers.  ``min_eig_lower_bound`` is accepted
+for older files and must be a positive number, but it is neither stored
+nor written back: theta is always chosen from the exact reduced-Hessian
+eigenvalue.
 """
 
 from __future__ import annotations
@@ -108,10 +111,10 @@ def problem_from_dict(doc: dict) -> QpProblem:
     E = _decode_matrix(doc["E"], m, n, "E")
     f = _number_list(doc["f"], m, "f")
     bound = doc.get("min_eig_lower_bound")
-    if bound is not None:
-        bound = _require_number(bound, "min_eig_lower_bound")
+    if bound is not None and _require_number(bound, "min_eig_lower_bound") <= 0.0:
+        raise ProblemFormatError(f"min_eig_lower_bound must be positive, got {bound}")
     try:
-        return QpProblem(C, c, E if m else None, f if m else None, bound)
+        return QpProblem(C, c, E if m else None, f if m else None)
     except Exception as exc:
         raise ProblemFormatError(f"problem data rejected: {exc}") from exc
 
@@ -124,11 +127,6 @@ def problem_to_dict(problem: QpProblem) -> dict:
         "c": problem.c.tolist(),
         "E": {"format": "dense", "data": problem.E.ravel().tolist()},
         "f": problem.f.tolist(),
-        **(
-            {"min_eig_lower_bound": problem.min_eig_lower_bound}
-            if problem.min_eig_lower_bound is not None
-            else {}
-        ),
     }
 
 

@@ -1,30 +1,22 @@
 """Dense linear-algebra kernel.
 
-Orthonormal null-space bases, equality-constrained KKT solves, minimum-norm
-particular solutions, reduced-Hessian eigenvalues, and the interior-point
-Newton solve.  Everything is dense; target problems are small to medium.
-The saddle-point and Newton systems are symmetric, so each is factored
-once with the Bunch-Kaufman LDL' and every solve from it is residual
-checked, with iterative refinement on the same factors.
+The null space and minimum-norm solution of the equality rows,
+equality-constrained KKT solves, and the interior-point Newton solve.
+Everything is dense; target problems are small to medium.  The
+saddle-point and Newton systems are symmetric, so each is factored once
+with the Bunch-Kaufman LDL' and every solve from it is residual checked,
+with iterative refinement on the same factors.
 """
 
 from __future__ import annotations
 
-import hashlib
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from .errors import (
-    EmptyNullspace,
-    RankDeficient,
-    SingularGram,
-    SingularKkt,
-    SingularNewton,
-)
+from .errors import RankDeficient, SingularKkt, SingularNewton
 
 # Relative backsolve residual every factorized solve must meet.
 SOLVE_RTOL = 1e-10
@@ -34,55 +26,30 @@ SOLVE_RTOL = 1e-10
 MAX_REFINE_STEPS = 8
 
 
-def _fingerprint(a: np.ndarray) -> str:
-    h = hashlib.sha256()
-    h.update(repr(a.shape).encode())
-    h.update(np.ascontiguousarray(a).tobytes())
-    return h.hexdigest()[:16]
+def null_space_and_min_norm(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal null-space basis Z of E and the minimum-norm solution d
+    of E d = f, both from one full SVD E = U Sigma V'.
 
-
-@dataclass(frozen=True)
-class NullspaceBasis:
-    """Orthonormal basis of the null space of an equality matrix.
-
-    ``Z`` has shape (n, n - m) and satisfies Z'Z = I and E Z = 0 to
-    roundoff; it is empty when the matrix is square and nonsingular.
-    ``source_E`` fingerprints the matrix the basis was computed from.
-    """
-
-    Z: np.ndarray
-    source_E: str
-
-    @property
-    def dim(self) -> int:
-        return self.Z.shape[1]
-
-
-def nullspace_basis(E: np.ndarray) -> NullspaceBasis:
-    """Orthonormal null-space basis via Householder QR of E'.
-
-    The trailing n - m columns of the orthogonal factor of E' span
-    null(E).  Deterministic for fixed input (no pivoting).  With zero
-    rows the basis is the identity.
-
-    Raises RankDeficient when a diagonal entry of the triangular factor
-    falls below the scaled rank tolerance.
+    Z is the trailing n - m columns of V (Z'Z = I, E Z = 0; empty when E
+    is square) and d = V_1 Sigma^{-1} U'f, which lies in range(E') and is
+    therefore orthogonal to range(Z).  With zero rows Z is the identity
+    and d is zero.  Raises RankDeficient when fewer than m singular values
+    exceed the backward-stable threshold max(m, n) * sigma_1 * 1e-12.
     """
     E = np.atleast_2d(np.asarray(E, dtype=float))
+    f = np.asarray(f, dtype=float)
     m, n = E.shape
     if m == 0:
-        return NullspaceBasis(Z=np.eye(n), source_E=_fingerprint(E))
-    if m > n:
-        raise RankDeficient(f"{m} rows cannot be independent in dimension {n}")
-    q, r = scipy.linalg.qr(E.T)
-    diag = np.abs(np.diag(r)[:m])
-    spectral = scipy.linalg.norm(E, 2) if E.size else 0.0
-    rank_tol = max(m, n) * spectral * 1e-12
-    if np.any(diag <= rank_tol):
+        return np.eye(n), np.zeros(n)
+    U, svals, Vt = scipy.linalg.svd(E)
+    rank_tol = max(m, n) * svals[0] * 1e-12
+    rank = int(np.count_nonzero(svals > rank_tol))
+    if rank < m:
         raise RankDeficient(
-            f"triangular factor diagonal {diag.min():.3e} below tolerance {rank_tol:.3e}"
+            f"E has numerical rank {rank} < {m} (tolerance {rank_tol:.3e})"
         )
-    return NullspaceBasis(Z=q[:, m:], source_E=_fingerprint(E))
+    d = Vt[:m].T @ ((U.T @ f) / svals)
+    return Vt[m:].T, d
 
 
 class AugmentedFactorization:
@@ -176,43 +143,6 @@ def solve_equality_kkt(
     fact = AugmentedFactorization(_augmented_matrix(C, E), SingularKkt)
     sol = fact.solve(np.concatenate([rhs_top, rhs_bot]))
     return sol[:n], sol[n:]
-
-
-def min_norm_particular(E: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Minimum-Euclidean-norm solution of E d = f, i.e. d = E'(EE')^{-1} f.
-
-    Lies in range(E') and is therefore orthogonal to null(E).  Returns the
-    zero vector when there are no equality rows.
-    """
-    E = np.atleast_2d(np.asarray(E, dtype=float))
-    f = np.asarray(f, dtype=float)
-    m, n = E.shape
-    if m == 0:
-        return np.zeros(n)
-    gram = E @ E.T
-    try:
-        cf = scipy.linalg.cho_factor(gram)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise SingularGram(f"E E^T factorization failed: {exc}") from exc
-    d = E.T @ scipy.linalg.cho_solve(cf, f)
-    f_norm = np.linalg.norm(f)
-    residual = f - E @ d
-    if np.linalg.norm(residual) > SOLVE_RTOL * max(1.0, f_norm):
-        d = d + E.T @ scipy.linalg.cho_solve(cf, residual)
-        residual = f - E @ d
-        if np.linalg.norm(residual) > SOLVE_RTOL * max(1.0, f_norm):
-            raise SingularGram("minimum-norm solve did not meet residual tolerance")
-    return d
-
-
-def reduced_min_eig(C: np.ndarray, Z: np.ndarray) -> float:
-    """Smallest eigenvalue of the reduced Hessian Z'CZ."""
-    Z = np.asarray(Z, dtype=float)
-    if Z.ndim != 2 or Z.shape[1] == 0:
-        raise EmptyNullspace("null space is trivial; no reduced Hessian exists")
-    M = Z.T @ np.asarray(C, dtype=float) @ Z
-    M = 0.5 * (M + M.T)
-    return float(scipy.linalg.eigh(M, eigvals_only=True)[0])
 
 
 def newton_data_norm(Q: np.ndarray, A: np.ndarray) -> float:

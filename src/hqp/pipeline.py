@@ -9,7 +9,6 @@ from . import iipm
 from .embedding import (
     HqpProblem,
     SolveOutcome,
-    ThetaMode,
     ThetaReport,
     compute_theta,
     embed,
@@ -34,9 +33,6 @@ def solve_qp(
     problem: QpProblem,
     config: Optional[IipmConfig] = None,
     *,
-    theta_mode: Optional[ThetaMode] = None,
-    theta_margin: float = 0.1,
-    theta_floor: float = 1.0,
     theta_override: Optional[float] = None,
 ) -> SolveResult:
     """Solve a standard-form QP through the homogeneous embedding.
@@ -49,9 +45,7 @@ def solve_qp(
     if theta_override is not None:
         report = manual_theta_report(validated, theta_override)
     else:
-        report = compute_theta(
-            validated, margin=theta_margin, mode=theta_mode, theta_floor=theta_floor
-        )
+        report = compute_theta(validated)
     hqp = embed(validated, report)
     outcome, log = iipm.solve(hqp, config)
     return SolveResult(

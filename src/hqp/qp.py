@@ -16,15 +16,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from . import linsys
-from .errors import (
-    DimensionMismatch,
-    FreeVariable,
-    NonPositiveAlpha,
-    NotReducedPd,
-    RankDeficient,
-)
+from .errors import DimensionMismatch, FreeVariable, NotReducedPd
 
 
 def _vector(a, name: str) -> np.ndarray:
@@ -40,14 +35,10 @@ class QpProblem:
     """Convex QP in standard form (equalities plus nonnegativity bounds).
 
     The Hessian is symmetrized on construction, since the quadratic form only
-    sees the symmetric part.  ``min_eig_lower_bound`` optionally carries a
-    known positive lower bound on the smallest eigenvalue of the reduced
-    Hessian; it lets the embedding parameter be chosen without an eigenvalue
-    computation (useful when bounds are inherited, e.g. across branch-and-bound
-    nodes).
+    sees the symmetric part.
     """
 
-    def __init__(self, C, c, E=None, f=None, min_eig_lower_bound=None):
+    def __init__(self, C, c, E=None, f=None):
         c = _vector(c, "c")
         n = c.size
         C = np.atleast_2d(np.asarray(C, dtype=float))
@@ -64,12 +55,6 @@ class QpProblem:
         f = np.zeros(0) if f is None else _vector(f, "f")
         if f.size != m:
             raise DimensionMismatch(f"f must have length {m}, got {f.size}")
-        if min_eig_lower_bound is not None:
-            min_eig_lower_bound = float(min_eig_lower_bound)
-            if min_eig_lower_bound <= 0.0:
-                raise NonPositiveAlpha(
-                    f"eigenvalue lower bound must be positive, got {min_eig_lower_bound}"
-                )
 
         self.n = n
         self.m = m
@@ -77,7 +62,6 @@ class QpProblem:
         self.c = c.copy()
         self.E = E.copy()
         self.f = f.copy()
-        self.min_eig_lower_bound = min_eig_lower_bound
         for a in (self.C, self.c, self.E, self.f):
             a.setflags(write=False)
 
@@ -138,13 +122,14 @@ class InfeasCertificate:
 
 @dataclass(frozen=True)
 class ValidatedProblem:
-    """QpProblem wrapper carrying the cached null-space basis and the
-    smallest reduced-Hessian eigenvalue (None when the null space is empty)."""
+    """QpProblem wrapper carrying an orthonormal basis Z of null(E), the
+    minimum-norm solution d of Ed = f, and the smallest eigenvalue of the
+    reduced Hessian Z'CZ (None when the null space is empty)."""
 
     problem: QpProblem
-    nullspace: linsys.NullspaceBasis
+    Z: np.ndarray
+    d: np.ndarray
     lambda_min: Optional[float]
-    pd_tol: float
 
     @property
     def n(self) -> int:
@@ -154,42 +139,29 @@ class ValidatedProblem:
     def m(self) -> int:
         return self.problem.m
 
-    @property
-    def Z(self) -> np.ndarray:
-        return self.nullspace.Z
-
 
 def validate(problem: QpProblem) -> ValidatedProblem:
     """Check full row rank of E and positive definiteness of the reduced
-    Hessian; cache the null-space basis and eigenvalue floor.
+    Hessian; keep Z, d and the smallest reduced eigenvalue.
 
-    Rank is decided by singular values against the backward-stable threshold
-    max(m, n) * ||E||_2 * 1e-12.  Positive definiteness uses the
-    scale-relative threshold 1e-10 * (1 + ||C||_inf); it holds vacuously
-    when m = n.
+    One SVD of E decides the rank, against the backward-stable threshold
+    max(m, n) * ||E||_2 * 1e-12, and gives Z and d
+    (:func:`linsys.null_space_and_min_norm`).  Positive definiteness uses
+    the scale-relative threshold 1e-10 * (1 + ||C||_inf); it holds
+    vacuously when m = n.
     """
-    n, m = problem.n, problem.m
-    if m:
-        svals = np.linalg.svd(problem.E, compute_uv=False)
-        rank_tol = max(m, n) * svals[0] * 1e-12
-        rank = int(np.count_nonzero(svals > rank_tol))
-        if rank < m:
-            raise RankDeficient(
-                f"E has numerical rank {rank} < {m} (tolerance {rank_tol:.3e})"
-            )
-    basis = linsys.nullspace_basis(problem.E)
-    pd_tol = 1e-10 * (1.0 + np.linalg.norm(problem.C, np.inf))
+    Z, d = linsys.null_space_and_min_norm(problem.E, problem.f)
     lambda_min = None
-    if basis.dim:
-        lambda_min = linsys.reduced_min_eig(problem.C, basis.Z)
+    if Z.shape[1]:
+        M = Z.T @ problem.C @ Z
+        lambda_min = float(scipy.linalg.eigh(0.5 * (M + M.T), eigvals_only=True)[0])
+        pd_tol = 1e-10 * (1.0 + np.linalg.norm(problem.C, np.inf))
         if lambda_min <= pd_tol:
             raise NotReducedPd(
                 f"smallest reduced-Hessian eigenvalue {lambda_min:.3e} "
                 f"is not above {pd_tol:.3e}"
             )
-    return ValidatedProblem(
-        problem=problem, nullspace=basis, lambda_min=lambda_min, pd_tol=pd_tol
-    )
+    return ValidatedProblem(problem=problem, Z=Z, d=d, lambda_min=lambda_min)
 
 
 @dataclass(frozen=True)
@@ -207,6 +179,7 @@ class KktResiduals:
     r_nonneg: float
 
     def max_violation(self) -> float:
+        """Largest residual; NaN when any residual is NaN."""
         parts = [self.r_nonneg]
         if self.r_stat.size:
             parts.append(np.linalg.norm(self.r_stat, np.inf))
@@ -214,7 +187,7 @@ class KktResiduals:
             parts.append(np.linalg.norm(self.r_eq, np.inf))
         if self.comp_min.size:
             parts.append(np.max(np.abs(self.comp_min)))
-        return float(max(parts))
+        return float(np.max(parts))
 
 
 def qp_kkt_residuals(problem: QpProblem, point: QpKktPoint) -> KktResiduals:
@@ -248,8 +221,9 @@ class CertificateResiduals:
     r3: float
 
     def max_violation(self) -> float:
+        """Largest residual; NaN when any residual is NaN."""
         r1 = np.linalg.norm(self.r1, np.inf) if self.r1.size else 0.0
-        return float(max(r1, abs(self.r2), self.r3))
+        return float(np.max([r1, abs(self.r2), self.r3]))
 
     def accepted(self, tol: float) -> bool:
         return self.max_violation() <= tol

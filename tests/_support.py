@@ -6,6 +6,7 @@ the solver.
 """
 
 import numpy as np
+import scipy.linalg
 
 from hqp import QpKktPoint, QpProblem
 
@@ -73,3 +74,40 @@ def planted_certificate_instance(rng, n, m):
     c = rng.standard_normal(n)
     problem = QpProblem(C, c, E, f)
     return problem, nu, xi
+
+
+def reference_theta_star(problem):
+    """Equality-relaxed optimal value from a dense solve of the KKT system."""
+    n, m = problem.n, problem.m
+    K = np.block([[problem.C, problem.E.T], [problem.E, np.zeros((m, m))]])
+    y = np.linalg.solve(K, np.concatenate([-problem.c, problem.f]))[:n]
+    return float(0.5 * y @ problem.C @ y + problem.c @ y)
+
+
+def paper_pd_bounds(problem, alpha=None):
+    """The paper's positive-definiteness bounds on theta, computed with
+    scipy's null space and a least-squares minimum-norm d:
+
+        exact_Z       ||Z'g||^2 / lambda_min(Z'CZ) - d'Cd - 2c'd
+        norm_relaxed  ||g||^2 / lambda_min(Z'CZ)   - d'Cd - 2c'd
+        alpha         ||g||^2 / alpha              - d'Cd - 2c'd
+
+    with g = Cd + c and alpha a positive lower bound on lambda_min (the
+    last is None without one).  With m = n all three are -d'Cd - 2c'd.
+    """
+    C, c = problem.C, problem.c
+    if problem.m:
+        d = np.linalg.lstsq(problem.E, problem.f, rcond=None)[0]
+        Z = scipy.linalg.null_space(problem.E)
+    else:
+        d, Z = np.zeros(problem.n), np.eye(problem.n)
+    base = -float(d @ C @ d) - 2.0 * float(c @ d)
+    if Z.shape[1] == 0:
+        return {"exact_Z": base, "norm_relaxed": base, "alpha": base}
+    g = C @ d + c
+    lam = float(np.linalg.eigvalsh(Z.T @ C @ Z)[0])
+    return {
+        "exact_Z": float(np.sum((Z.T @ g) ** 2)) / lam + base,
+        "norm_relaxed": float(g @ g) / lam + base,
+        "alpha": None if alpha is None else float(g @ g) / alpha + base,
+    }

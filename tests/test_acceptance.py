@@ -25,7 +25,6 @@ from hqp import (
     InstanceSpec,
     QpKktPoint,
     SolveStatus,
-    ThetaMode,
     active_set_oracle,
     check_certificate,
     check_reduced_hessian_pd,
@@ -39,7 +38,7 @@ from hqp import (
 )
 from hqp.embedding import lifted_nullspace_basis
 
-from _support import planted_certificate_instance, planted_kkt_instance
+from _support import paper_pd_bounds, planted_certificate_instance, planted_kkt_instance
 
 SIZES = (10, 25, 50)
 SEEDS = range(10)
@@ -241,17 +240,19 @@ def test_criterion_5_theta_machinery():
             InstanceSpec(InstanceKind.RANDOM_SPD, n=n, m=m, seed=int(rng.integers(0, 10**6)))
         )
         v = validate(problem)
-        rep = compute_theta(v, mode=ThetaMode.EXACT_Z)
+        rep = compute_theta(v)
         lam = check_reduced_hessian_pd(v, rep.theta)
         assert lam > 0.0
         assert rep.theta > 2.0 * abs(rep.theta_star)
-        relaxed = compute_theta(v, mode=ThetaMode.NORM_RELAXED)
-        assert relaxed.pd_bound_rhs >= rep.pd_bound_rhs - 1e-12
+        # Exact threshold <= shipped (exact_Z) bound <= the paper's
+        # norm-relaxed bound, the last computed on the test side.
+        assert rep.pd_bound_rhs >= -2.0 * rep.theta_star - 1e-12
+        assert paper_pd_bounds(problem)["norm_relaxed"] >= rep.pd_bound_rhs - 1e-12
         worst_margin = min(worst_margin, lam)
     print(
         f"criterion 5 PASS: 50 instances; reduced Hessian stays positive definite "
         f"(smallest margin {worst_margin:.2e}), magnitude condition strict, "
-        f"exact bound never exceeds the norm-relaxed bound"
+        f"-2 theta_star <= shipped bound <= norm-relaxed bound"
     )
 
 

@@ -177,13 +177,6 @@ class TestSolve:
         again = json.loads(json.dumps(doc))
         assert again == doc
 
-    def test_theta_mode_flag(self, workdir):
-        path = gen(workdir, "feasible_sv", 5)
-        out = workdir / "sol.json"
-        assert run_cli("solve", str(path), "--theta-mode", "norm", "--output", str(out)) == 0
-        doc = json.loads(out.read_text())
-        assert doc["theta_report"]["bound_used"] == "norm_relaxed"
-
 
 class TestCheck:
     def test_round_trip_infeasible(self, workdir):
@@ -234,6 +227,37 @@ class TestCheck:
         sol = workdir / "s.json"
         sol.write_text(json.dumps({"status": "infeasible", "cert_nu": [1.0], "cert_xi": [1.0]}))
         assert run_cli("check", str(prob), str(sol)) == 0
+
+    def test_nan_solution_rejected(self, workdir, capsys):
+        path = gen(workdir, "feasible_sv", 5, seed=1)
+        out = workdir / "sol.json"
+        assert run_cli("solve", str(path), "--output", str(out)) == 0
+        doc = json.loads(out.read_text())
+        for key in ("y", "nu", "xi"):
+            doc[key] = [float("nan")] * len(doc[key])
+        out.write_text(json.dumps(doc))
+        assert "NaN" in out.read_text()
+        assert run_cli("check", str(path), str(out)) == 4
+        assert "pass" not in capsys.readouterr().out
+
+    def test_overflowing_certificate_rejected(self, workdir):
+        # 1e999 parses to inf; the check refuses it as input, not as a FAIL.
+        path = gen(workdir, "infeasible_sv", 5)
+        out = workdir / "sol.json"
+        assert run_cli("solve", str(path), "--output", str(out)) == 2
+        doc = json.loads(out.read_text())
+        doc["cert_xi"][0] = "OVERFLOW"
+        out.write_text(json.dumps(doc).replace('"OVERFLOW"', "1e999"))
+        assert run_cli("check", str(path), str(out)) == 4
+
+    def test_non_numeric_solution_rejected(self, workdir):
+        path = gen(workdir, "feasible_sv", 5, seed=1)
+        out = workdir / "sol.json"
+        assert run_cli("solve", str(path), "--output", str(out)) == 0
+        doc = json.loads(out.read_text())
+        doc["y"] = ["a"] * len(doc["y"])
+        out.write_text(json.dumps(doc))
+        assert run_cli("check", str(path), str(out)) == 4
 
     def test_nothing_to_check(self, workdir):
         path = gen(workdir, "feasible_sv", 4)

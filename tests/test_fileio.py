@@ -102,10 +102,21 @@ class TestParsing:
             problem_from_dict(doc)
 
     def test_optional_eig_bound(self):
+        # A known field, accepted and ignored: not stored, not written back.
         doc = sample_doc()
         doc["min_eig_lower_bound"] = 0.25
         p = problem_from_dict(doc)
-        assert p.min_eig_lower_bound == 0.25
+        assert not hasattr(p, "min_eig_lower_bound")
+        assert "min_eig_lower_bound" not in problem_to_dict(p)
+        plain = problem_from_dict(sample_doc())
+        assert np.array_equal(p.C, plain.C) and np.array_equal(p.f, plain.f)
+
+    def test_nonpositive_eig_bound_rejected(self):
+        for bound in (-1.0, 0.0, "1", True):
+            doc = sample_doc()
+            doc["min_eig_lower_bound"] = bound
+            with pytest.raises(ProblemFormatError):
+                problem_from_dict(doc)
 
     def test_missing_file(self):
         with pytest.raises(ProblemFormatError):

@@ -7,27 +7,43 @@ from hqp import (
     AmbiguousStatus,
     HqpKktPoint,
     InfeasCertificate,
+    InstanceKind,
+    InstanceSpec,
     NotReducedPd,
     QpProblem,
     SolveStatus,
-    ThetaMode,
     check_certificate,
     check_reduced_hessian_pd,
     compute_theta,
     compute_theta_star,
     embed,
+    generate,
     hqp_kkt_residuals,
     qp_kkt_residuals,
     recover,
     validate,
 )
-from hqp.embedding import manual_theta_report
+from hqp.embedding import HqpKktResiduals, manual_theta_report
 
-from _support import planted_certificate_instance, planted_kkt_instance
+from _support import (
+    paper_pd_bounds,
+    planted_certificate_instance,
+    planted_kkt_instance,
+    reference_theta_star,
+)
+
+
+def worked_problem():
+    return QpProblem(np.eye(2), [1.0, 1.0], [[1.0, 1.0]], [-1.0])
 
 
 def worked_validated():
-    return validate(QpProblem(np.eye(2), [1.0, 1.0], [[1.0, 1.0]], [-1.0]))
+    return validate(worked_problem())
+
+
+def column_scaled(problem, seed):
+    d = 10.0 ** np.random.default_rng(seed).uniform(-2, 2, problem.n)
+    return QpProblem(problem.C * np.outer(d, d), problem.c * d, problem.E * d, problem.f)
 
 
 def one_var_hqp(theta=2.0):
@@ -51,29 +67,53 @@ class TestThetaStar:
 
 class TestComputeTheta:
     def test_worked_exact_bound(self):
-        rep = compute_theta(worked_validated(), margin=0.1, mode=ThetaMode.EXACT_Z)
+        rep = compute_theta(worked_validated())
         assert rep.pd_bound_rhs == pytest.approx(1.5, abs=1e-12)
         assert rep.condition1_rhs == pytest.approx(1.5, abs=1e-12)
         assert rep.theta == pytest.approx(1.65, abs=1e-12)
-        assert rep.bound_used is ThetaMode.EXACT_Z
+        assert rep.margin == 0.1
 
     def test_worked_norm_relaxed(self):
-        rep = compute_theta(worked_validated(), margin=0.1, mode=ThetaMode.NORM_RELAXED)
-        assert rep.pd_bound_rhs == pytest.approx(2.0, abs=1e-12)
-        assert rep.theta == pytest.approx(2.2, abs=1e-12)
+        # The paper's norm-relaxed bound, kept as a test-side reference,
+        # is 2.0 here and sits above the shipped bound 1.5.
+        bounds = paper_pd_bounds(worked_problem())
+        assert bounds["norm_relaxed"] == pytest.approx(2.0, abs=1e-12)
+        assert bounds["exact_Z"] == pytest.approx(1.5, abs=1e-12)
+        assert compute_theta(worked_validated()).pd_bound_rhs <= bounds["norm_relaxed"]
 
     def test_zero_data_floor(self):
         v = validate(QpProblem(np.eye(2), np.zeros(2), [[1.0, 1.0]], [0.0]))
-        rep = compute_theta(v, margin=0.1)
+        rep = compute_theta(v)
         assert rep.pd_bound_rhs == pytest.approx(0.0, abs=1e-14)
         assert rep.theta == pytest.approx(1.1)
 
     def test_user_alpha_bound(self):
-        p = QpProblem(np.eye(2), [1.0, 1.0], [[1.0, 1.0]], [-1.0], min_eig_lower_bound=0.5)
-        rep = compute_theta(validate(p))
-        assert rep.bound_used is ThetaMode.USER_ALPHA
-        # ||Cd+c||^2 / alpha - d'Cd - 2c'd = 0.5/0.5 - 0.5 + 2 = 2.5
-        assert rep.pd_bound_rhs == pytest.approx(2.5, abs=1e-12)
+        # ||Cd+c||^2 / alpha - d'Cd - 2c'd = 0.5/0.5 - 0.5 + 2 = 2.5, above
+        # the shipped bound 1.5.
+        bounds = paper_pd_bounds(worked_problem(), alpha=0.5)
+        assert bounds["alpha"] == pytest.approx(2.5, abs=1e-12)
+        assert compute_theta(worked_validated()).pd_bound_rhs <= bounds["alpha"]
+
+    @pytest.mark.parametrize(
+        "kind,n,m,scaled",
+        [
+            ("feasible_sv", 50, 1, False),
+            ("infeasible_sv", 50, 1, False),
+            ("random_spd", 30, 5, False),
+            ("random_spd", 30, 5, True),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_reference_exact_z(self, kind, n, m, scaled, seed):
+        # The shipped theta is the paper's exact_Z rule, recomputed here
+        # with scipy's null space, a least-squares d and a dense KKT solve.
+        problem = generate(InstanceSpec(InstanceKind(kind), n=n, m=m, seed=seed))
+        if scaled:
+            problem = column_scaled(problem, seed)
+        rep = compute_theta(validate(problem))
+        condition1 = 2.0 * abs(reference_theta_star(problem))
+        expected = 1.1 * max(condition1, paper_pd_bounds(problem)["exact_Z"], 1.0)
+        assert rep.theta == pytest.approx(expected, rel=1e-9)
 
     def test_square_equality_block(self):
         # m = n leaves only the single diagonal entry theta + d'Cd + 2c'd.
@@ -153,6 +193,25 @@ class TestEmbed:
 
 
 class TestManualTheta:
+    @pytest.mark.parametrize(
+        "kind,n,m,seed",
+        [("feasible_sv", 10, 1, 0), ("feasible_sv", 50, 1, 3), ("infeasible_sv", 10, 1, 1),
+         ("random_spd", 30, 5, 0), ("random_spd", 30, 5, 4), ("random_spd", 8, 3, 4)],
+    )
+    def test_threshold_matches_reduced_hessian(self, kind, n, m, seed):
+        # The refusal test theta <= -2 theta_star agrees with the sign of the
+        # reduced lifted Hessian's smallest eigenvalue on both sides.  The
+        # instances have theta_star < 0, so the threshold is above the
+        # theta > 0 floor.
+        v = validate(generate(InstanceSpec(InstanceKind(kind), n=n, m=m, seed=seed)))
+        threshold = -2.0 * compute_theta_star(v)
+        assert threshold > 0.0
+        assert check_reduced_hessian_pd(v, 1.1 * threshold) > 0.0
+        manual_theta_report(v, 1.1 * threshold)
+        assert check_reduced_hessian_pd(v, 0.9 * threshold) < 0.0
+        with pytest.raises(NotReducedPd):
+            manual_theta_report(v, 0.9 * threshold)
+
     def test_too_small_rejected(self):
         with pytest.raises(NotReducedPd):
             manual_theta_report(worked_validated(), 1.4)
@@ -272,6 +331,9 @@ class TestEmbeddingRoundTrips:
 
 
 class TestBoundOrdering:
+    """-2 theta_star (the exact threshold) <= shipped bound <= the paper's
+    relaxed bounds, which live on the test side."""
+
     def test_norm_relaxed_dominates_exact(self):
         rng = np.random.default_rng(33)
         for _ in range(20):
@@ -279,9 +341,10 @@ class TestBoundOrdering:
             m = int(rng.integers(1, n))
             problem, _ = planted_kkt_instance(rng, n, m)
             v = validate(problem)
-            exact = compute_theta(v, mode=ThetaMode.EXACT_Z)
-            relaxed = compute_theta(v, mode=ThetaMode.NORM_RELAXED)
-            assert relaxed.pd_bound_rhs >= exact.pd_bound_rhs - 1e-12
+            rep = compute_theta(v)
+            assert rep.pd_bound_rhs >= -2.0 * rep.theta_star - 1e-12
+            assert paper_pd_bounds(problem)["norm_relaxed"] >= rep.pd_bound_rhs - 1e-12
+            assert check_reduced_hessian_pd(v, rep.theta) > 0.0
 
     def test_user_alpha_dominates_exact(self):
         rng = np.random.default_rng(34)
@@ -290,13 +353,10 @@ class TestBoundOrdering:
             m = int(rng.integers(1, n))
             problem, _ = planted_kkt_instance(rng, n, m)
             v = validate(problem)
-            alpha = 0.5 * v.lambda_min
-            with_bound = QpProblem(
-                problem.C, problem.c, problem.E, problem.f, min_eig_lower_bound=alpha
-            )
-            exact = compute_theta(v, mode=ThetaMode.EXACT_Z)
-            user = compute_theta(validate(with_bound), mode=ThetaMode.USER_ALPHA)
-            assert user.pd_bound_rhs >= exact.pd_bound_rhs - 1e-12
+            rep = compute_theta(v)
+            alpha = paper_pd_bounds(problem, alpha=0.5 * v.lambda_min)["alpha"]
+            assert rep.pd_bound_rhs >= -2.0 * rep.theta_star - 1e-12
+            assert alpha >= rep.pd_bound_rhs - 1e-12
 
 
 class TestObjectiveLowerBoundChain:
@@ -314,3 +374,11 @@ class TestObjectiveLowerBoundChain:
             assert np.all(y_feas >= 0)
             value = problem.objective(y_feas)
             assert value > -rep.theta / 2.0
+
+
+class TestHqpKktResiduals:
+    @pytest.mark.parametrize("field", ["stat_y", "stat_tau", "eq", "comp_max", "nonneg"])
+    def test_nan_is_not_dropped(self, field):
+        parts = dict(stat_y=np.zeros(2), stat_tau=0.0, eq=np.zeros(1), comp_max=0.0, nonneg=0.0)
+        parts[field] = np.full_like(parts[field], np.nan) if field in ("stat_y", "eq") else np.nan
+        assert not np.isfinite(HqpKktResiduals(**parts).max_violation())

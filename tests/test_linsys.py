@@ -1,14 +1,14 @@
-"""Dense kernel: null-space bases, saddle-point and Newton solves."""
+"""Dense kernel: null space and minimum-norm solution of E, saddle-point
+and Newton solves."""
 
 import numpy as np
 import pytest
 
 from hqp import (
-    EmptyNullspace,
     InstanceKind,
     InstanceSpec,
+    QpProblem,
     RankDeficient,
-    SingularGram,
     SingularKkt,
     compute_theta,
     embed,
@@ -18,10 +18,8 @@ from hqp import (
 from hqp.linsys import (
     AugmentedFactorization,
     SOLVE_RTOL,
-    min_norm_particular,
     newton_backward_error,
-    nullspace_basis,
-    reduced_min_eig,
+    null_space_and_min_norm,
     solve_equality_kkt,
     solve_newton_system,
 )
@@ -29,30 +27,37 @@ from hqp.linsys import (
 from _support import full_newton_matrix, random_full_rank, random_spd_matrix
 
 
+def null_basis(E):
+    E = np.atleast_2d(np.asarray(E, dtype=float))
+    return null_space_and_min_norm(E, np.zeros(E.shape[0]))[0]
+
+
+def min_norm(E, f):
+    return null_space_and_min_norm(np.atleast_2d(np.asarray(E, dtype=float)), f)[1]
+
+
 class TestNullspaceBasis:
     def test_coordinate_row(self):
-        b = nullspace_basis(np.array([[1.0, 0.0]]))
-        assert b.Z.shape == (2, 1)
-        assert abs(b.Z[1, 0]) == pytest.approx(1.0)
-        assert abs(b.Z[0, 0]) < 1e-14
+        Z = null_basis([[1.0, 0.0]])
+        assert Z.shape == (2, 1)
+        assert abs(Z[1, 0]) == pytest.approx(1.0)
+        assert abs(Z[0, 0]) < 1e-14
 
     def test_symmetric_row(self):
-        b = nullspace_basis(np.array([[1.0, 1.0]]))
+        Z = null_basis([[1.0, 1.0]])
         expected = np.array([1.0, -1.0]) / np.sqrt(2.0)
-        assert abs(b.Z[:, 0] @ expected) == pytest.approx(1.0, abs=1e-14)
+        assert abs(Z[:, 0] @ expected) == pytest.approx(1.0, abs=1e-14)
 
     def test_square_full_rank_is_empty(self):
-        b = nullspace_basis(np.eye(2))
-        assert b.Z.shape == (2, 0)
-        assert b.dim == 0
+        Z = null_basis(np.eye(2))
+        assert Z.shape == (2, 0)
 
     def test_no_rows_gives_identity(self):
-        b = nullspace_basis(np.zeros((0, 3)))
-        assert np.array_equal(b.Z, np.eye(3))
+        assert np.array_equal(null_basis(np.zeros((0, 3))), np.eye(3))
 
     def test_rank_deficient_rejected(self):
         with pytest.raises(RankDeficient):
-            nullspace_basis(np.array([[1.0, 1.0], [2.0, 2.0]]))
+            null_basis([[1.0, 1.0], [2.0, 2.0]])
 
     def test_randomized_invariants(self):
         rng = np.random.default_rng(0)
@@ -60,20 +65,22 @@ class TestNullspaceBasis:
             n = int(rng.integers(2, 51))
             m = int(rng.integers(1, n + 1))
             E = random_full_rank(rng, m, n)
-            b = nullspace_basis(E)
-            assert b.Z.shape == (n, n - m)
-            if b.dim:
-                assert np.linalg.norm(b.Z.T @ b.Z - np.eye(n - m), np.inf) <= 1e-12
-                assert np.linalg.norm(E @ b.Z, np.inf) <= 1e-10 * (
+            Z = null_basis(E)
+            assert Z.shape == (n, n - m)
+            if n > m:
+                assert np.linalg.norm(Z.T @ Z - np.eye(n - m), np.inf) <= 1e-12
+                assert np.linalg.norm(E @ Z, np.inf) <= 1e-10 * (
                     1 + np.linalg.norm(E, np.inf)
                 )
 
     def test_deterministic(self):
-        E = np.random.default_rng(5).standard_normal((3, 7))
-        one = nullspace_basis(E)
-        two = nullspace_basis(E)
-        assert np.array_equal(one.Z, two.Z)
-        assert one.source_E == two.source_E
+        rng = np.random.default_rng(5)
+        E = rng.standard_normal((3, 7))
+        f = rng.standard_normal(3)
+        Z1, d1 = null_space_and_min_norm(E, f)
+        Z2, d2 = null_space_and_min_norm(E, f)
+        assert np.array_equal(Z1, Z2)
+        assert np.array_equal(d1, d2)
 
 
 class TestEqualityKkt:
@@ -115,20 +122,17 @@ class TestEqualityKkt:
 
 class TestMinNormParticular:
     def test_coordinate(self):
-        d = min_norm_particular(np.array([[1.0, 0.0]]), [2.0])
-        assert d == pytest.approx([2.0, 0.0])
+        assert min_norm([[1.0, 0.0]], [2.0]) == pytest.approx([2.0, 0.0])
 
     def test_symmetric_row(self):
-        # Gram matrix is 2, so d = E' (1/2) (-1) = (-1/2, -1/2).
-        d = min_norm_particular(np.array([[1.0, 1.0]]), [-1.0])
-        assert d == pytest.approx([-0.5, -0.5])
+        # d = E'(EE')^{-1} f = E' (1/2) (-1) = (-1/2, -1/2).
+        assert min_norm([[1.0, 1.0]], [-1.0]) == pytest.approx([-0.5, -0.5])
 
     def test_zero_rhs(self):
-        d = min_norm_particular(np.array([[1.0, 1.0]]), [0.0])
-        assert np.array_equal(d, np.zeros(2))
+        assert np.array_equal(min_norm([[1.0, 1.0]], [0.0]), np.zeros(2))
 
     def test_no_rows(self):
-        assert np.array_equal(min_norm_particular(np.zeros((0, 3)), np.zeros(0)), np.zeros(3))
+        assert np.array_equal(min_norm(np.zeros((0, 3)), np.zeros(0)), np.zeros(3))
 
     def test_minimum_norm_among_solutions(self):
         rng = np.random.default_rng(2)
@@ -137,34 +141,39 @@ class TestMinNormParticular:
             m = int(rng.integers(1, n))
             E = random_full_rank(rng, m, n)
             f = rng.standard_normal(m)
-            d = min_norm_particular(E, f)
+            Z, d = null_space_and_min_norm(E, f)
             assert np.linalg.norm(E @ d - f) <= 1e-10 * max(1, np.linalg.norm(f))
-            Z = nullspace_basis(E).Z
             assert np.linalg.norm(Z.T @ d, np.inf) <= 1e-10 * max(1, np.linalg.norm(d))
             for _ in range(5):
                 v = d + Z @ rng.standard_normal(n - m)
                 assert np.linalg.norm(d) <= np.linalg.norm(v) + 1e-12
 
     def test_gram_failure(self):
-        with pytest.raises((SingularGram, RankDeficient)):
-            min_norm_particular(np.array([[0.0, 0.0]]), [1.0])
+        # A zero row has no minimum-norm solution for f != 0.
+        with pytest.raises(RankDeficient):
+            min_norm([[0.0, 0.0]], [1.0])
 
 
 class TestReducedMinEig:
+    """The smallest eigenvalue of Z'CZ that validation keeps."""
+
     def test_identity(self):
-        Z = np.array([[1.0], [-1.0]]) / np.sqrt(2.0)
-        assert reduced_min_eig(np.eye(2), Z) == pytest.approx(1.0)
+        v = validate(QpProblem(np.eye(2), np.zeros(2), [[1.0, -1.0]], [0.0]))
+        assert v.lambda_min == pytest.approx(1.0)
 
     def test_coordinate_basis(self):
-        assert reduced_min_eig(np.diag([1.0, 4.0]), np.array([[0.0], [1.0]])) == pytest.approx(4.0)
+        v = validate(QpProblem(np.diag([1.0, 4.0]), np.zeros(2), [[1.0, 0.0]], [0.0]))
+        assert v.lambda_min == pytest.approx(4.0)
 
     def test_average(self):
-        Z = np.array([[1.0], [-1.0]]) / np.sqrt(2.0)
-        assert reduced_min_eig(np.diag([2.0, 3.0]), Z) == pytest.approx(2.5)
+        # null([1 1]) is spanned by (1, -1)/sqrt(2): (2 + 3)/2.
+        v = validate(QpProblem(np.diag([2.0, 3.0]), np.zeros(2), [[1.0, 1.0]], [0.0]))
+        assert v.lambda_min == pytest.approx(2.5)
 
     def test_empty_basis(self):
-        with pytest.raises(EmptyNullspace):
-            reduced_min_eig(np.eye(2), np.zeros((2, 0)))
+        v = validate(QpProblem(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2)))
+        assert v.Z.shape == (2, 0)
+        assert v.lambda_min is None
 
 
 class TestNewtonSystem:

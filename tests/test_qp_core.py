@@ -8,7 +8,6 @@ from hqp import (
     FreeVariable,
     GeneralQp,
     InfeasCertificate,
-    NonPositiveAlpha,
     NotReducedPd,
     QpKktPoint,
     QpProblem,
@@ -19,7 +18,9 @@ from hqp import (
     validate,
 )
 
-from _support import planted_kkt_instance
+from hqp.qp import CertificateResiduals, KktResiduals
+
+from _support import planted_kkt_instance, random_full_rank, random_spd_matrix
 
 
 def worked_problem():
@@ -38,10 +39,6 @@ class TestProblemConstruction:
             QpProblem(np.eye(2), [1.0, 1.0], [[1.0, 1.0]], [1.0, 2.0])
         with pytest.raises(DimensionMismatch):
             QpProblem(np.eye(1), [1.0], [[1.0], [2.0]], [1.0, 2.0])
-
-    def test_nonpositive_eig_bound_rejected(self):
-        with pytest.raises(NonPositiveAlpha):
-            QpProblem(np.eye(1), [0.0], min_eig_lower_bound=-1.0)
 
     def test_arrays_immutable(self):
         p = worked_problem()
@@ -73,12 +70,48 @@ class TestValidate:
         p = QpProblem(np.diag([1.0, -1.0]), [0.0, 0.0], np.eye(2), [1.0, 1.0])
         v = validate(p)
         assert v.lambda_min is None
-        assert v.nullspace.dim == 0
+        assert v.Z.shape == (2, 0)
 
     def test_no_equalities(self):
         v = validate(QpProblem(np.eye(3), np.zeros(3)))
-        assert v.nullspace.dim == 3
+        assert v.Z.shape == (3, 3)
         assert v.lambda_min == pytest.approx(1.0)
+
+    @pytest.mark.parametrize(
+        "n,m,seed",
+        [(4, 0, 0), (4, 4, 1), (1, 1, 2), (2, 1, 3), (7, 3, 4), (30, 5, 5), (60, 59, 6)],
+    )
+    def test_outputs(self, n, m, seed):
+        # One SVD of E gives Z and d; validation adds the reduced eigenvalue.
+        rng = np.random.default_rng(seed)
+        C = random_spd_matrix(rng, n)
+        E = random_full_rank(rng, m, n)
+        f = rng.standard_normal(m)
+        p = QpProblem(C, rng.standard_normal(n), E if m else None, f if m else None)
+        v = validate(p)
+        Z, d = v.Z, v.d
+        tol = 1e-12 * max(1.0, np.linalg.norm(E, np.inf), np.linalg.norm(f, np.inf))
+        assert Z.shape == (n, n - m) and d.shape == (n,)
+        assert np.linalg.norm(Z.T @ Z - np.eye(n - m), np.inf) <= 1e-12
+        assert np.linalg.norm(E @ Z, np.inf) <= 1e2 * tol
+        assert np.linalg.norm(E @ d - f, np.inf) <= 1e2 * tol * max(1.0, np.linalg.norm(d))
+        assert np.linalg.norm(Z.T @ d, np.inf) <= 1e-12 * max(1.0, np.linalg.norm(d))
+        if n > m:
+            expected = np.linalg.eigvalsh(Z.T @ p.C @ Z)[0]
+            assert v.lambda_min == pytest.approx(expected, rel=1e-12)
+        else:
+            assert v.lambda_min is None
+        again = validate(p)
+        assert np.array_equal(again.Z, Z) and np.array_equal(again.d, d)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+    def test_dependent_rows_rejected(self, scale):
+        rng = np.random.default_rng(7)
+        E = rng.standard_normal((2, 6))
+        E = np.vstack([E, E[0] + 2.0 * E[1]]) * scale
+        p = QpProblem(np.eye(6), np.zeros(6), E, E @ np.ones(6))
+        with pytest.raises(RankDeficient):
+            validate(p)
 
 
 class TestKktResiduals:
@@ -128,6 +161,28 @@ class TestKktResiduals:
         assert np.allclose(
             r_mix.r_eq, t * r0.r_eq + (1 - t) * r1.r_eq, atol=1e-13 * scale
         )
+
+
+class TestMaxViolation:
+    @pytest.mark.parametrize("field", ["r_stat", "r_eq", "comp_min", "r_nonneg"])
+    def test_kkt_nan_is_not_dropped(self, field):
+        parts = dict(
+            r_stat=np.zeros(2), r_eq=np.zeros(1), r_comp=0.0, comp_min=np.zeros(2), r_nonneg=0.0
+        )
+        parts[field] = np.full_like(parts[field], np.nan) if field != "r_nonneg" else np.nan
+        assert not np.isfinite(KktResiduals(**parts).max_violation())
+
+    @pytest.mark.parametrize("field", ["r1", "r2", "r3"])
+    def test_certificate_nan_is_not_dropped(self, field):
+        parts = dict(r1=np.zeros(2), r2=0.0, r3=0.0)
+        parts[field] = np.full(2, np.nan) if field == "r1" else np.nan
+        assert not np.isfinite(CertificateResiduals(**parts).max_violation())
+
+    def test_nan_point_fails(self):
+        p = worked_problem()
+        nan = np.full(2, np.nan)
+        r = qp_kkt_residuals(p, QpKktPoint(nan, np.full(1, np.nan), nan))
+        assert not r.max_violation() <= 1.0
 
 
 class TestCertificate:
