@@ -221,7 +221,10 @@ def _load_solution(path) -> dict:
 def _finite_vector(doc: dict, key: str) -> np.ndarray:
     """``doc[key]`` as a float vector; NaN, Infinity and overflowing
     literals are refused, as in problem files."""
-    v = np.asarray(doc[key], dtype=float)
+    try:
+        v = np.asarray(doc[key], dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ProblemFormatError(f"{key}: entries must be finite") from None
     if not np.all(np.isfinite(v)):
         raise ProblemFormatError(f"{key}: entries must be finite")
     return v

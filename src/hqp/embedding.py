@@ -109,6 +109,18 @@ class HqpProblem:
         """:func:`linsys.newton_data_norm` of (Q, A), shared by every Newton step."""
         return linsys.newton_data_norm(self.Q, self.A)
 
+    @cached_property
+    def newton_split(self) -> linsys.DiagonalSplit:
+        """The Newton matrix split for :func:`linsys.solve_newton_system`.
+
+        Variable y_i is divided out when row i of C has no off-diagonal
+        nonzero and C_ii >= 0, so its pivot C_ii + s_i/x_i is positive;
+        tau and the equality rows always stay in the factored block.
+        """
+        C = self.parent.problem.C
+        divide = linsys.diagonal_rows(C) & (np.diagonal(C) >= 0.0)
+        return linsys.split_diagonal(self.Q, self.A, np.append(divide, False))
+
     def objective(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ self.Q @ x + self.q @ x)

@@ -41,7 +41,10 @@ def _reject_constant(name):
 def _require_number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProblemFormatError(f"{where}: expected a number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ProblemFormatError(f"{where}: number must be finite") from None
     if not np.isfinite(value):
         raise ProblemFormatError(f"{where}: number must be finite")
     return value

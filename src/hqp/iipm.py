@@ -125,7 +125,7 @@ class IipmIterate:
         x = np.asarray(x, dtype=float)
         lam = np.asarray(lam, dtype=float)
         s = np.asarray(s, dtype=float)
-        if np.any(x <= 0.0) or np.any(s <= 0.0):
+        if (x <= 0.0).any() or (s <= 0.0).any():
             raise ValueError("iterate must keep x and s strictly positive")
         r_d, r_p, mu = residuals(hqp, x, lam, s)
         return cls(x=x, lam=lam, s=s, r_d=r_d, r_p=r_p, mu=mu)
@@ -160,7 +160,7 @@ def in_neighborhood(
     # Roundoff floor so an exactly-feasible start is not rejected for
     # residuals at machine-noise level.
     ok_res = norm_r <= config.beta * (r0_norm / mu0) * iterate.mu + 1e-14 * (1.0 + r0_norm)
-    positive = bool(np.all(iterate.x > 0.0) and np.all(iterate.s > 0.0))
+    positive = bool((iterate.x > 0.0).all() and (iterate.s > 0.0).all())
     ok = positive and ok_res and centrality >= config.gamma
     return NeighborhoodCheck(ok=ok, residual_ratio=float(ratio), centrality=centrality)
 
@@ -201,7 +201,7 @@ def newton_direction(
         return centered
 
     dx, dlam, ds, rel = linsys.solve_newton_system(
-        hqp.Q, hqp.A, x, s, rhs, hqp.newton_data_norm, center
+        hqp.Q, hqp.A, x, s, rhs, hqp.newton_data_norm, center, hqp.newton_split
     )
     return NewtonDirection(dx=dx, dlam=dlam, ds=ds, rel_residual=rel, **chosen)
 
@@ -239,7 +239,7 @@ def step_length(
         alpha = trial0 * config.step_backtrack**j
         x_new = iterate.x + alpha * direction.dx
         s_new = iterate.s + alpha * direction.ds
-        if np.any(x_new <= 0.0) or np.any(s_new <= 0.0):
+        if (x_new <= 0.0).any() or (s_new <= 0.0).any():
             continue
         candidate = IipmIterate.compute(
             hqp, x_new, iterate.lam + alpha * direction.dlam, s_new

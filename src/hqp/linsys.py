@@ -2,15 +2,20 @@
 
 The null space and minimum-norm solution of the equality rows,
 equality-constrained KKT solves, and the interior-point Newton solve.
-Everything is dense; target problems are small to medium.  The
-saddle-point and Newton systems are symmetric, so each is factored once
-with the Bunch-Kaufman LDL' and every solve from it is residual checked,
-with iterative refinement on the same factors.
+Matrices are stored dense; target problems are small to medium.  Both
+solves are saddle-point systems [[H, B'], [B, 0]], and both first divide
+out the variables whose row of H has no off-diagonal nonzero and a
+positive pivot: such a row couples only to the rest, so its variable is
+eliminated by a division.  The Schur complement of the rest is symmetric
+and is factored once with the Bunch-Kaufman LDL'; on the diagonal-Hessian
+families the kept block is only the border (tau and the equality rows).
+Every solve is residual checked, with iterative refinement on the same
+factors against the whole system.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy.linalg
@@ -68,7 +73,7 @@ class AugmentedFactorization:
 
     def __init__(self, matrix: np.ndarray, error_cls=SingularKkt, overwrite=False):
         self.error_cls = error_cls
-        if not np.all(np.isfinite(matrix)):
+        if not np.isfinite(matrix).all():
             raise error_cls("matrix contains non-finite entries")
         try:
             lwork, _ = scipy.linalg.lapack.dsytrf_lwork(matrix.shape[0])
@@ -80,47 +85,129 @@ class AugmentedFactorization:
         self.matrix = None if overwrite else matrix
         if info != 0:
             raise error_cls(f"factorization failed: dsytrf info {info} (> 0: singular)")
-        if not np.all(np.isfinite(self._ldu)):
+        if not np.isfinite(self._ldu).all():
             raise error_cls("factorization produced non-finite factors")
 
     def backsolve(self, rhs: np.ndarray) -> np.ndarray:
         """Raw backsolve without the residual guarantee."""
+        if not rhs.size:
+            return np.zeros(0)  # dsytrs refuses an empty system
         x, info = scipy.linalg.lapack.dsytrs(self._ldu, self._piv, rhs)
         if info != 0:
             raise self.error_cls(f"backsolve failed (dsytrs info {info})")
         return x
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        rhs = np.asarray(rhs, dtype=float)
-        rhs_norm = np.linalg.norm(rhs)
-        if rhs_norm == 0.0:
-            return np.zeros_like(rhs)
-        x = self.backsolve(rhs)
-        best_x, best_rel = x, np.inf
-        for _ in range(MAX_REFINE_STEPS + 1):
-            if not np.all(np.isfinite(x)):
-                break
-            residual = rhs - self.matrix @ x
-            rel = np.linalg.norm(residual) / rhs_norm
-            if np.isfinite(rel) and rel < best_rel:
-                best_x, best_rel = x, rel
-            if best_rel <= SOLVE_RTOL:
-                return best_x
-            x = x + self.backsolve(residual)
-        raise self.error_cls(
-            f"backsolve residual {best_rel:.3e} exceeds {SOLVE_RTOL:.1e} "
-            f"after {MAX_REFINE_STEPS} refinement steps"
-        )
+        return _refined_solve(rhs, self.backsolve, lambda v: self.matrix @ v, self.error_cls)
 
 
-def _augmented_matrix(C: np.ndarray, E: np.ndarray) -> np.ndarray:
-    n = C.shape[0]
-    m = E.shape[0]
-    M = np.zeros((n + m, n + m))
-    M[:n, :n] = C
-    M[:n, n:] = E.T
-    M[n:, :n] = E
-    return M
+def _refined_solve(rhs, backsolve, apply, error_cls) -> np.ndarray:
+    """Solve to a residual of at most SOLVE_RTOL relative to ||rhs||.
+
+    ``backsolve`` is a raw solve and ``apply`` multiplies by the matrix the
+    residual is taken against; up to MAX_REFINE_STEPS refinement steps run
+    through ``backsolve``.  Raises ``error_cls`` when the best solution
+    still misses.
+    """
+    rhs = np.asarray(rhs, dtype=float)
+    rhs_norm = np.linalg.norm(rhs)
+    if rhs_norm == 0.0:
+        return np.zeros_like(rhs)
+    x = backsolve(rhs)
+    best_x, best_rel = x, np.inf
+    for _ in range(MAX_REFINE_STEPS + 1):
+        if not np.all(np.isfinite(x)):
+            break
+        residual = rhs - apply(x)
+        rel = np.linalg.norm(residual) / rhs_norm
+        if np.isfinite(rel) and rel < best_rel:
+            best_x, best_rel = x, rel
+        if best_rel <= SOLVE_RTOL:
+            return best_x
+        x = x + backsolve(residual)
+    raise error_cls(
+        f"backsolve residual {best_rel:.3e} exceeds {SOLVE_RTOL:.1e} "
+        f"after {MAX_REFINE_STEPS} refinement steps"
+    )
+
+
+def diagonal_rows(H: np.ndarray) -> np.ndarray:
+    """Mask of the rows of H with no off-diagonal nonzero."""
+    return np.count_nonzero(H, axis=1) == (np.diagonal(H) != 0.0)
+
+
+class DiagonalSplit(NamedTuple):
+    """The saddle-point matrix K = [[H, B'], [B, 0]] split for dividing out
+    a set of variables whose block of H is diagonal.
+
+    ``sep`` are the divided-out variables, with pivots ``pivot`` = H_ii;
+    ``keep`` are the other variables followed by the rows of B, and the
+    first ``kept_vars.size`` of them are variables.  ``W`` = K[sep, keep]
+    couples the two, and ``K`` = K[keep, keep] is the kept block.
+    """
+
+    sep: np.ndarray
+    keep: np.ndarray
+    kept_vars: np.ndarray
+    pivot: np.ndarray
+    W: np.ndarray
+    K: np.ndarray
+
+
+def split_diagonal(H: np.ndarray, B: np.ndarray, divide: np.ndarray) -> DiagonalSplit:
+    """Split [[H, B'], [B, 0]] for dividing out the variables in the mask
+    ``divide``; H restricted to them must be diagonal."""
+    n = H.shape[0]
+    m = B.shape[0]
+    sep = np.flatnonzero(divide)
+    kept = np.flatnonzero(~np.asarray(divide))
+    k = kept.size
+    K = np.zeros((k + m, k + m), order="F")
+    K[:k, :k] = H[kept[:, None], kept]
+    K[k:, :k] = B[:, kept]
+    K[:k, k:] = K[k:, :k].T
+    W = np.empty((sep.size, k + m))
+    W[:, :k] = H[sep[:, None], kept]
+    W[:, k:] = B[:, sep].T
+    return DiagonalSplit(
+        sep=sep,
+        keep=np.concatenate([kept, n + np.arange(m)]),
+        kept_vars=kept,
+        pivot=H[sep, sep],
+        W=W,
+        K=K,
+    )
+
+
+def factor_split(split: DiagonalSplit, shift: np.ndarray, error_cls) -> Callable:
+    """Factor [[H + Diag(shift), B'], [B, 0]] by division and return its raw
+    solve.
+
+    With h = pivot + shift on the divided-out variables, which must be
+    positive, the Schur complement S = K - W' Diag(h)^-1 W is factored
+    once, in place.  A solve of r = (r_sep, r_keep) is
+    z = S^-1 (r_keep - W'(r_sep/h)) followed by u = (r_sep - W z)/h: one
+    backsolve.
+    """
+    sep, keep, W = split.sep, split.keep, split.W
+    h = split.pivot + shift[sep]
+    S = np.array(split.K, order="F")
+    # The first k diagonal entries, through a flat view of S.
+    k, step = split.kept_vars.size, S.shape[0] + 1
+    S.ravel(order="K")[: k * step : step] += shift[split.kept_vars]
+    if sep.size:
+        S -= (W.T / h) @ W
+    fact = AugmentedFactorization(S, error_cls, overwrite=True)
+
+    def solve(r):
+        g = r[sep] / h
+        z = fact.backsolve(r[keep] - W.T @ g)
+        out = np.empty_like(r)
+        out[keep] = z
+        out[sep] = g - (W @ z) / h
+        return out
+
+    return solve
 
 
 def solve_equality_kkt(
@@ -132,16 +219,22 @@ def solve_equality_kkt(
     """Solve the saddle-point system [[C, E'], [E, 0]] (y; nu) = rhs.
 
     Nonsingular when E has full row rank and C is positive definite on
-    null(E).  The backsolve residual is guaranteed to be at most
-    SOLVE_RTOL relative to the right-hand-side norm.
+    null(E).  The variables whose row of C is diagonal with C_ii > 0 are
+    divided out (:func:`factor_split`); rows with C_ii <= 0 stay in the
+    factored block.  The residual is guaranteed to be at most SOLVE_RTOL
+    relative to the right-hand-side norm.
     """
     C = np.asarray(C, dtype=float)
     E = np.atleast_2d(np.asarray(E, dtype=float))
-    rhs_top = np.asarray(rhs_top, dtype=float)
-    rhs_bot = np.asarray(rhs_bot, dtype=float)
     n = C.shape[0]
-    fact = AugmentedFactorization(_augmented_matrix(C, E), SingularKkt)
-    sol = fact.solve(np.concatenate([rhs_top, rhs_bot]))
+    rhs = np.concatenate([np.asarray(rhs_top, dtype=float), np.asarray(rhs_bot, dtype=float)])
+    split = split_diagonal(C, E, diagonal_rows(C) & (np.diagonal(C) > 0.0))
+    solve = factor_split(split, np.zeros(n), SingularKkt)
+
+    def apply(v):
+        return np.concatenate([C @ v[:n] + E.T @ v[n:], E @ v[:n]])
+
+    sol = _refined_solve(rhs, solve, apply, SingularKkt)
     return sol[:n], sol[n:]
 
 
@@ -182,6 +275,7 @@ def solve_newton_system(
     rhs: np.ndarray,
     data_norm: Optional[float] = None,
     center: Optional[Callable] = None,
+    split: Optional[DiagonalSplit] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Solve the three-block interior-point step system.
 
@@ -193,13 +287,16 @@ def solve_newton_system(
 
     ds is eliminated through the last block row, leaving the symmetric
     augmented system [[Q + X^{-1}S, A'], [A, 0]] for (dx, dlam), and is
-    recovered as ds = X^{-1}(rhs_3 - S dx).  The matrix is factored once,
-    in place.  With ``center``, ``rhs`` is a predictor right-hand side:
-    its plain backsolve (dx, dlam, ds), unrefined and unchecked, goes to
-    ``center``, which returns the right-hand side to solve next on the same
-    factors.  The accuracy guarantee, enforced on the full three-block
-    system for the last right-hand side, is a normwise backward error of
-    at most SOLVE_RTOL; refinement runs through the one factorization, and
+    recovered as ds = X^{-1}(rhs_3 - S dx).  ``split`` names the
+    variables divided out of the augmented system, with pivots
+    Q_ii + s_i/x_i > 0 (:func:`factor_split`); by default those whose row
+    of Q is diagonal.  The rest is factored once, in place.  With
+    ``center``, ``rhs`` is a predictor right-hand side: its plain solve
+    (dx, dlam, ds), unrefined and unchecked, goes to ``center``, which
+    returns the right-hand side to solve next on the same factors.  The
+    accuracy guarantee, enforced on the full three-block system for the
+    last right-hand side, is a normwise backward error of at most
+    SOLVE_RTOL; refinement runs through the one factorization, and
     SingularNewton is raised when it stalls above the tolerance.  Returns
     (dx, dlam, ds, backward error).  ``data_norm`` is passed on to
     :func:`newton_backward_error`.
@@ -213,18 +310,14 @@ def solve_newton_system(
     m = A.shape[0]
     if rhs.shape != (2 * N + m,):
         raise ValueError(f"rhs must have length {2 * N + m}, got {rhs.shape}")
-    if np.any(x <= 0.0) or np.any(s <= 0.0):
+    if (x <= 0.0).any() or (s <= 0.0).any():
         raise SingularNewton("iterate left the positive orthant")
-
-    M = np.zeros((N + m, N + m), order="F")
-    M[:N, :N] = Q
-    M[np.diag_indices(N)] += s / x
-    M[:N, N:] = A.T
-    M[N:, :N] = A
-    fact = AugmentedFactorization(M, SingularNewton, overwrite=True)
+    if split is None:
+        split = split_diagonal(Q, A, diagonal_rows(Q) & (np.diagonal(Q) >= 0.0))
+    solve_aug = factor_split(split, s / x, SingularNewton)
 
     def eliminate(t1, t2, t3):
-        aug = fact.backsolve(np.concatenate([t1 + t3 / x, t2]))
+        aug = solve_aug(np.concatenate([t1 + t3 / x, t2]))
         dx = aug[:N]
         dlam = aug[N:]
         ds = (t3 - s * dx) / x
@@ -232,7 +325,7 @@ def solve_newton_system(
 
     if center is not None:
         rhs = np.asarray(center(*eliminate(rhs[:N], rhs[N:N + m], rhs[N + m:])), dtype=float)
-    if np.linalg.norm(rhs) == 0.0:
+    if not rhs.any():
         return np.zeros(N), np.zeros(m), np.zeros(N), 0.0
     r1, r2, r3 = rhs[:N], rhs[N:N + m], rhs[N + m:]
 

@@ -8,7 +8,7 @@ the solver.
 import numpy as np
 import scipy.linalg
 
-from hqp import QpKktPoint, QpProblem
+from hqp import GeneralQp, QpKktPoint, QpProblem, to_standard_form
 
 
 def full_newton_matrix(Q, A, x, s):
@@ -23,6 +23,56 @@ def full_newton_matrix(Q, A, x, s):
     M[N + m:, :N] = np.diag(s)
     M[N + m:, N + m:] = np.diag(x)
     return M
+
+
+def separable_reference(C):
+    """Indices of the rows of C with no off-diagonal nonzero and C_ii >= 0,
+    by a plain loop."""
+    n = C.shape[0]
+    return [
+        i for i in range(n)
+        if C[i, i] >= 0.0 and all(C[i, j] == 0.0 for j in range(n) if j != i)
+    ]
+
+
+def structured_problem(rng, kind):
+    """A valid QP whose Hessian has diagonal-only rows.
+
+    all_diagonal       C = Diag(> 0), three Gaussian rows;
+    interleaved        a dense SPD block on variables 1, 4, 5 and 9, the
+                       other rows diagonal;
+    negative_diagonal  C indefinite: C_22 = -1 in a diagonal-only row, with
+                       row e_2 + 0.3 e_0 of E keeping C positive definite
+                       on null(E);
+    slack_rows         to_standard_form of a box- and inequality-constrained
+                       QP, whose slack variables have zero rows in C.
+    """
+    if kind == "slack_rows":
+        general = GeneralQp(
+            H=random_spd_matrix(rng, 4),
+            g=rng.standard_normal(4),
+            lower=np.array([0.0, -1.0, -np.inf, 0.0]),
+            upper=np.array([np.inf, 1.0, 2.0, 1.5]),
+            G=rng.standard_normal((2, 4)),
+            h=rng.random(2) + 0.5,
+        )
+        return to_standard_form(general)[0]
+    n = 10
+    C = np.diag(rng.random(n) + 0.5)
+    E = rng.standard_normal((3, n))
+    if kind == "interleaved":
+        block = [1, 4, 5, 9]
+        C[np.ix_(block, block)] = random_spd_matrix(rng, len(block))
+    elif kind == "negative_diagonal":
+        C[2, 2] = -1.0
+        E[0] = 0.0
+        E[0, 2], E[0, 0] = 1.0, 0.3
+    else:
+        assert kind == "all_diagonal"
+    return QpProblem(C, rng.standard_normal(n), E, rng.standard_normal(3))
+
+
+STRUCTURED_KINDS = ("all_diagonal", "interleaved", "negative_diagonal", "slack_rows")
 
 
 def random_spd_matrix(rng, n, shift=0.5):

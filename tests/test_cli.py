@@ -67,6 +67,15 @@ class TestSolve:
         bad.write_text("{this is not json")
         assert run_cli("solve", str(bad)) == 4
 
+    def test_integer_beyond_float_range_exit(self, workdir, capsys):
+        path = gen(workdir, "feasible_sv", 3)
+        doc = json.loads(path.read_text())
+        doc["C"]["data"][0] = 10**400
+        path.write_text(json.dumps(doc))
+        assert run_cli("solve", str(path)) == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["status"] == "error" and "must be finite" in doc["message"]
+
     def test_unknown_field_exit(self, workdir):
         bad = workdir / "extra.json"
         bad.write_text(
@@ -249,6 +258,18 @@ class TestCheck:
         doc["cert_xi"][0] = "OVERFLOW"
         out.write_text(json.dumps(doc).replace('"OVERFLOW"', "1e999"))
         assert run_cli("check", str(path), str(out)) == 4
+
+    def test_integer_beyond_float_range_rejected(self, workdir, capsys):
+        # A 401-digit integer does not overflow to inf on parsing: converting
+        # it to a float raises instead, which must also exit 4, not 1.
+        path = gen(workdir, "feasible_sv", 5, seed=1)
+        out = workdir / "sol.json"
+        assert run_cli("solve", str(path), "--output", str(out)) == 0
+        doc = json.loads(out.read_text())
+        doc["y"][0] = 10**400
+        out.write_text(json.dumps(doc))
+        assert run_cli("check", str(path), str(out)) == 4
+        assert "must be finite" in capsys.readouterr().err
 
     def test_non_numeric_solution_rejected(self, workdir):
         path = gen(workdir, "feasible_sv", 5, seed=1)

@@ -91,6 +91,21 @@ class TestParsing:
         with pytest.raises(ProblemFormatError):
             loads_problem(text)
 
+    def test_integer_beyond_float_range_rejected(self):
+        big = 10**400
+        for where in ("C", "c", "E", "f"):
+            doc = sample_doc()
+            if where in ("C", "E"):
+                doc[where]["data"][0] = big
+            else:
+                doc[where][0] = big
+            with pytest.raises(ProblemFormatError, match="finite"):
+                problem_from_dict(doc)
+        doc = sample_doc()
+        doc["C"] = {"format": "coo", "rows": [0, 1], "cols": [0, 1], "vals": [big, 1.0]}
+        with pytest.raises(ProblemFormatError, match="finite"):
+            problem_from_dict(doc)
+
     def test_invalid_json(self):
         with pytest.raises(ProblemFormatError):
             loads_problem("{not json")

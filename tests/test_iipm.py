@@ -37,7 +37,7 @@ from hqp.iipm import (
 )
 from hqp.embedding import lifted_nullspace_basis
 
-from _support import full_newton_matrix, planted_kkt_instance
+from _support import full_newton_matrix, planted_kkt_instance, structured_problem
 
 
 def one_var_hqp(theta=2.0, f=1.0):
@@ -412,6 +412,30 @@ class TestSolve:
         assert outcome.status is SolveStatus.OPTIMAL
         res = qp_kkt_residuals(problem, QpKktPoint(outcome.y, outcome.nu, outcome.xi))
         assert res.max_violation() <= 1e-6 * (1.0 + problem.data_scale())
+
+    @pytest.mark.parametrize("kind", ["negative_diagonal", "slack_rows"])
+    def test_divided_hessian_rows_match_oracle(self, kind):
+        # Newton steps divide out the diagonal rows of C with C_ii >= 0.  A
+        # C that is indefinite on R^n through a negative diagonal-only entry
+        # keeps that row in the factored block; the slack variables of
+        # to_standard_form have C_ii = 0 and pivot s_i / x_i alone.
+        from hqp import InfeasCertificate, active_set_oracle, check_certificate
+
+        statuses = set()
+        for seed in range(6):
+            problem = structured_problem(np.random.default_rng(seed), kind)
+            if kind == "negative_diagonal":
+                assert np.linalg.eigvalsh(problem.C)[0] < 0.0
+            oracle = active_set_oracle(problem)
+            outcome = solve_qp(problem, IipmConfig(tol_mu=1e-11)).outcome
+            assert outcome.status is oracle.status, seed
+            statuses.add(outcome.status)
+            if outcome.status is SolveStatus.OPTIMAL:
+                assert np.linalg.norm(outcome.y - oracle.y_opt, np.inf) <= 1e-6
+            else:
+                cert = InfeasCertificate(outcome.cert_nu, outcome.cert_xi)
+                assert check_certificate(problem, cert).max_violation() <= 1e-6
+        assert SolveStatus.OPTIMAL in statuses
 
     def test_numerical_failure_after_recovery_is_ambiguous(self, monkeypatch):
         # feasible_sv n=10 seed 12 first reaches mu <= tol_mu with neither

@@ -24,7 +24,14 @@ from hqp.linsys import (
     solve_newton_system,
 )
 
-from _support import full_newton_matrix, random_full_rank, random_spd_matrix
+from _support import (
+    STRUCTURED_KINDS,
+    full_newton_matrix,
+    random_full_rank,
+    random_spd_matrix,
+    separable_reference,
+    structured_problem,
+)
 
 
 def null_basis(E):
@@ -118,6 +125,30 @@ class TestEqualityKkt:
             r_bot = E @ y - bot
             rhs_norm = np.linalg.norm(np.concatenate([top, bot]))
             assert np.linalg.norm(np.concatenate([r_top, r_bot])) <= SOLVE_RTOL * rhs_norm
+
+
+    @pytest.mark.parametrize("kind", STRUCTURED_KINDS)
+    def test_structured_hessians(self, kind):
+        # Positive diagonal-only rows are divided out; negative and zero
+        # ones stay in the factored block.  Checked against a dense solve.
+        rng = np.random.default_rng(8)
+        problem = structured_problem(rng, kind)
+        for _ in range(5):
+            top = rng.standard_normal(problem.n)
+            bot = rng.standard_normal(problem.m)
+            y, nu = solve_equality_kkt(problem.C, problem.E, top, bot)
+            r_top = problem.C @ y + problem.E.T @ nu - top
+            r_bot = problem.E @ y - bot
+            rhs = np.concatenate([top, bot])
+            assert np.linalg.norm(np.concatenate([r_top, r_bot])) <= SOLVE_RTOL * np.linalg.norm(rhs)
+            K = kkt_matrix(problem.C, problem.E)
+            assert np.allclose(np.concatenate([y, nu]), np.linalg.solve(K, rhs), rtol=1e-8, atol=1e-10)
+
+    def test_all_divided_without_rows(self):
+        # A positive diagonal C and no equality rows leave nothing to factor.
+        y, nu = solve_equality_kkt(np.diag([2.0, 4.0]), np.zeros((0, 2)), [2.0, -2.0], [])
+        assert y == pytest.approx([1.0, -0.5])
+        assert nu.shape == (0,)
 
 
 class TestMinNormParticular:
@@ -239,13 +270,82 @@ class TestNewtonSystem:
             ratio = 10.0 ** rng.uniform(-10, 6, N)
             x, s = np.sqrt(prod * ratio), np.sqrt(prod / ratio)
             rhs = rng.standard_normal(2 * N + hqp.m)
+            # The default split divides out only diagonal rows of Q (none
+            # here, since c couples each y_i to tau); the problem's own
+            # split divides out every y_i whose row of C is diagonal.
+            for split in (None, hqp.newton_split):
+                dx, dlam, ds, eta = solve_newton_system(
+                    hqp.Q, hqp.A, x, s, rhs, hqp.newton_data_norm, split=split
+                )
+                assert eta <= SOLVE_RTOL
+                assert eta == pytest.approx(
+                    newton_backward_error(hqp.Q, hqp.A, x, s, rhs, dx, dlam, ds), rel=1e-12
+                )
+
+    @pytest.mark.parametrize("kind", STRUCTURED_KINDS)
+    def test_divided_variables(self, kind, monkeypatch):
+        # y_i is divided out exactly when row i of C is diagonal with
+        # C_ii >= 0; tau and the equality rows always stay, and the one
+        # factorization is of the kept block alone.
+        import hqp.linsys as linsys
+
+        problem = structured_problem(np.random.default_rng(0), kind)
+        validated = validate(problem)
+        lifted = embed(validated, compute_theta(validated))
+        split = lifted.newton_split
+        expected = separable_reference(problem.C)
+        assert split.sep.tolist() == expected
+        kept = [i for i in range(lifted.dim + lifted.m) if i not in expected]
+        assert sorted(split.keep.tolist()) == kept
+        assert problem.n in split.keep.tolist()
+        orders = []
+
+        class Recording(linsys.AugmentedFactorization):
+            def __init__(self, matrix, *args, **kwargs):
+                orders.append(matrix.shape[0])
+                super().__init__(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(linsys, "AugmentedFactorization", Recording)
+        N = lifted.dim
+        solve_newton_system(
+            lifted.Q, lifted.A, np.ones(N), np.ones(N), np.ones(2 * N + lifted.m), split=split
+        )
+        assert orders == [len(kept)]
+        # The raw solve, before any refinement, is the augmented solve.
+        shift = np.random.default_rng(1).random(N) + 0.5
+        K = kkt_matrix(lifted.Q + np.diag(shift), lifted.A)
+        r = np.random.default_rng(2).standard_normal(N + lifted.m)
+        raw = linsys.factor_split(split, shift, SingularKkt)(r)
+        assert np.allclose(raw, np.linalg.solve(K, r), rtol=1e-10, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", STRUCTURED_KINDS)
+    def test_late_iterates_match_dense_oracle(self, kind):
+        # Complementarity products x_i s_i and ratios x_i / s_i over
+        # 1e-10 .. 1e6 on the lifted problem, solved through its split.  The
+        # dense three-block matrix gives an independent backward error and
+        # a forward reference whose accuracy is limited by its condition.
+        rng = np.random.default_rng(7)
+        validated = validate(structured_problem(rng, kind))
+        hqp = embed(validated, compute_theta(validated))
+        N = hqp.dim
+        for _ in range(10):
+            prod = 10.0 ** rng.uniform(-10, 6, N)
+            ratio = 10.0 ** rng.uniform(-10, 6, N)
+            x, s = np.sqrt(prod * ratio), np.sqrt(prod / ratio)
+            rhs = rng.standard_normal(2 * N + hqp.m)
             dx, dlam, ds, eta = solve_newton_system(
-                hqp.Q, hqp.A, x, s, rhs, hqp.newton_data_norm
+                hqp.Q, hqp.A, x, s, rhs, hqp.newton_data_norm, split=hqp.newton_split
             )
             assert eta <= SOLVE_RTOL
-            assert eta == pytest.approx(
-                newton_backward_error(hqp.Q, hqp.A, x, s, rhs, dx, dlam, ds), rel=1e-12
+            M = full_newton_matrix(hqp.Q, hqp.A, x, s)
+            sol = np.concatenate([dx, dlam, ds])
+            dense_eta = np.linalg.norm(M @ sol - rhs) / (
+                np.linalg.norm(M, np.inf) * np.linalg.norm(sol) + np.linalg.norm(rhs)
             )
+            assert dense_eta <= SOLVE_RTOL
+            oracle = np.linalg.solve(M, rhs)
+            bound = 100.0 * SOLVE_RTOL * np.linalg.cond(M) * np.linalg.norm(oracle)
+            assert np.linalg.norm(sol - oracle) <= bound
 
     def test_positivity_required(self):
         from hqp import SingularNewton
