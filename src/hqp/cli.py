@@ -5,7 +5,8 @@ a solution document against its problem, ``experiment`` for family sweeps.
 
 Solve exit codes: 0 optimal, 2 infeasible, 3 iteration limit, 4 bad input
 or failed validation, 5 numerical failure.  Check: 0 pass, 1 fail, 4 file
-or shape errors.
+or shape errors, including a vector entry that is not a finite number
+(``fileio.number_vector`` reads both files' number lists).
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-
-import numpy as np
 
 from . import fileio
 from .embedding import SolveStatus
@@ -218,18 +217,6 @@ def _load_solution(path) -> dict:
     return doc
 
 
-def _finite_vector(doc: dict, key: str) -> np.ndarray:
-    """``doc[key]`` as a float vector; NaN, Infinity and overflowing
-    literals are refused, as in problem files."""
-    try:
-        v = np.asarray(doc[key], dtype=float)
-    except OverflowError:  # an integer literal beyond the float range
-        raise ProblemFormatError(f"{key}: entries must be finite") from None
-    if not np.all(np.isfinite(v)):
-        raise ProblemFormatError(f"{key}: entries must be finite")
-    return v
-
-
 def _cmd_check(args) -> int:
     try:
         problem = fileio.load_problem(args.problem)
@@ -237,15 +224,15 @@ def _cmd_check(args) -> int:
         status = doc["status"]
         if status == "optimal":
             point = QpKktPoint(
-                y=_finite_vector(doc, "y"),
-                nu=_finite_vector(doc, "nu"),
-                xi=_finite_vector(doc, "xi"),
+                y=fileio.number_vector(doc["y"], "y"),
+                nu=fileio.number_vector(doc["nu"], "nu"),
+                xi=fileio.number_vector(doc["xi"], "xi"),
             )
             worst = qp_kkt_residuals(problem, point).max_violation()
         elif status == "infeasible":
             cert = InfeasCertificate(
-                nu=_finite_vector(doc, "cert_nu"),
-                xi=_finite_vector(doc, "cert_xi"),
+                nu=fileio.number_vector(doc["cert_nu"], "cert_nu"),
+                xi=fileio.number_vector(doc["cert_xi"], "cert_xi"),
             )
             worst = check_certificate(problem, cert).max_violation()
         else:

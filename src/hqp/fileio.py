@@ -13,11 +13,24 @@ where <matrix> is either
     {"format": "dense", "data": [row-major numbers]}
 or
     {"format": "coo", "rows": [...], "cols": [...], "vals": [...]}
-with 0-based indices and duplicate entries summed.  Unknown fields are
-rejected, as are non-finite numbers.  ``min_eig_lower_bound`` is accepted
-for older files and must be a positive number, but it is neither stored
-nor written back: theta is always chosen from the exact reduced-Hessian
-eigenvalue.
+with 0-based integer indices and duplicate entries summed in file order.
+Unknown fields are rejected.  A number is a JSON integer or float that is
+finite as a double: booleans, strings, null, nested lists and objects are
+refused, and so are NaN, Infinity, literals such as 1e999 that overflow to
+infinity, and integers beyond the float range.  A COO index must be a
+JSON integer (1.0 is refused) inside the matrix.
+
+Each list is checked in one pass: one scan of its entries' types, one
+conversion to an array and one finiteness or range test.  Only when a
+list fails is it searched for the first offending entry, which the error
+names together with the field.  ``hqp check`` reads the vectors of a
+solution document through the same ``number_vector``.
+
+The vectors ``c`` and ``f`` are checked before the matrices, so a wrong
+``n`` or ``m`` is refused before an ``n x n`` array is allocated.
+``min_eig_lower_bound`` is accepted for older files and must be a positive
+number, but it is neither stored nor written back: theta is always chosen
+from the exact reduced-Hessian eigenvalue.
 """
 
 from __future__ import annotations
@@ -56,12 +69,48 @@ def _require_int(value, where: str) -> int:
     return value
 
 
-def _number_list(value, length: int, where: str) -> np.ndarray:
+def _require_list(value, kinds: tuple, noun: str, where: str, length=None) -> None:
+    """Refuse ``value`` unless it is a list (of ``length`` entries, when
+    given) whose entries are all instances of ``kinds`` and not booleans."""
     if not isinstance(value, list):
         raise ProblemFormatError(f"{where}: expected a list")
-    if len(value) != length:
+    if length is not None and len(value) != length:
         raise ProblemFormatError(f"{where}: expected {length} entries, got {len(value)}")
-    return np.array([_require_number(v, where) for v in value], dtype=float)
+    if set(map(type, value)) <= set(kinds):
+        return
+    # Subclasses such as numpy floats fail the exact-type scan but pass here.
+    for v in value:
+        if isinstance(v, bool) or not isinstance(v, kinds):
+            raise ProblemFormatError(f"{where}: expected {noun}, got {v!r}")
+
+
+def number_vector(value, where: str, length=None) -> np.ndarray:
+    """``value`` as a float vector: a list of JSON numbers, each finite as a
+    double, of ``length`` entries when given; otherwise ProblemFormatError."""
+    _require_list(value, (int, float), "a number", where, length)
+    try:
+        out = np.array(value, dtype=float)
+    except OverflowError:  # an integer literal beyond the float range
+        raise ProblemFormatError(f"{where}: number must be finite") from None
+    finite = np.isfinite(out)
+    if not finite.all():
+        bad = value[int(np.argmin(finite))]
+        raise ProblemFormatError(f"{where}: number must be finite, got {bad!r}")
+    return out
+
+
+def _index_vector(value, bound: int, where: str) -> np.ndarray:
+    """``value`` as int64 indices in ``[0, bound)``; otherwise
+    ProblemFormatError.  An integer too large for int64 is out of range."""
+    _require_list(value, (int,), "an integer", where)
+    try:
+        out = np.array(value, dtype=np.int64)
+    except OverflowError:  # beyond int64, hence beyond any matrix dimension
+        out = None
+    if out is None or not ((out >= 0) & (out < bound)).all():
+        bad = next(v for v in value if not 0 <= v < bound)
+        raise ProblemFormatError(f"{where}: index {bad} out of range [0, {bound})")
+    return out
 
 
 def _decode_matrix(obj, rows: int, cols: int, where: str) -> np.ndarray:
@@ -72,26 +121,20 @@ def _decode_matrix(obj, rows: int, cols: int, where: str) -> np.ndarray:
         unknown = set(obj) - _DENSE_FIELDS
         if unknown:
             raise ProblemFormatError(f"{where}: unknown fields {sorted(unknown)}")
-        data = _number_list(obj.get("data"), rows * cols, f"{where}.data")
+        data = number_vector(obj.get("data"), f"{where}.data", rows * cols)
         return data.reshape(rows, cols)
     if fmt == "coo":
         unknown = set(obj) - _COO_FIELDS
         if unknown:
             raise ProblemFormatError(f"{where}: unknown fields {sorted(unknown)}")
-        r = obj.get("rows")
-        c = obj.get("cols")
-        v = obj.get("vals")
-        if not (isinstance(r, list) and isinstance(c, list) and isinstance(v, list)):
-            raise ProblemFormatError(f"{where}: rows/cols/vals must be lists")
-        if not len(r) == len(c) == len(v):
+        i = _index_vector(obj.get("rows"), rows, f"{where}.rows")
+        j = _index_vector(obj.get("cols"), cols, f"{where}.cols")
+        vals = number_vector(obj.get("vals"), f"{where}.vals")
+        if not len(i) == len(j) == len(vals):
             raise ProblemFormatError(f"{where}: rows/cols/vals lengths differ")
         out = np.zeros((rows, cols))
-        for i, j, val in zip(r, c, v):
-            i = _require_int(i, f"{where}.rows")
-            j = _require_int(j, f"{where}.cols")
-            if not (0 <= i < rows and 0 <= j < cols):
-                raise ProblemFormatError(f"{where}: index ({i}, {j}) out of range")
-            out[i, j] += _require_number(val, f"{where}.vals")
+        # Unbuffered: duplicates are summed one at a time in file order.
+        np.add.at(out, (i, j), vals)
         return out
     raise ProblemFormatError(f"{where}: unknown matrix format {fmt!r}")
 
@@ -109,10 +152,12 @@ def problem_from_dict(doc: dict) -> QpProblem:
     m = _require_int(doc["m"], "m")
     if n < 1 or m < 0 or m > n:
         raise ProblemFormatError(f"need n >= 1 and 0 <= m <= n, got n={n}, m={m}")
+    # The vectors first: their lengths confirm n and m before the matrices
+    # are allocated.
+    c = number_vector(doc["c"], "c", n)
+    f = number_vector(doc["f"], "f", m)
     C = _decode_matrix(doc["C"], n, n, "C")
-    c = _number_list(doc["c"], n, "c")
     E = _decode_matrix(doc["E"], m, n, "E")
-    f = _number_list(doc["f"], m, "f")
     bound = doc.get("min_eig_lower_bound")
     if bound is not None and _require_number(bound, "min_eig_lower_bound") <= 0.0:
         raise ProblemFormatError(f"min_eig_lower_bound must be positive, got {bound}")

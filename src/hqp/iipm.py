@@ -11,7 +11,6 @@ complementarity product above gamma times the average.
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -338,11 +337,6 @@ class IterationLog:
         writer.writerow(LOG_CSV_COLUMNS)
         for r in self.rows:
             writer.writerow([getattr(r, col) for col in LOG_CSV_COLUMNS])
-
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        self._write_csv(buf)
-        return buf.getvalue()
 
 
 def automatic_zeta(hqp: HqpProblem) -> float:

@@ -76,6 +76,18 @@ class TestSolve:
         doc = json.loads(capsys.readouterr().out)
         assert doc["status"] == "error" and "must be finite" in doc["message"]
 
+    def test_size_confirmed_before_allocation(self, workdir, capsys):
+        # n claims a million variables and c has one entry: the length of c
+        # is refused before a 10^6-square C is allocated.
+        path = workdir / "huge_n.json"
+        path.write_text(
+            '{"n": 1000000, "m": 0, "C": {"format": "coo", "rows": [], "cols": [], '
+            '"vals": []}, "c": [1.0], "E": {"format": "dense", "data": []}, "f": []}'
+        )
+        assert run_cli("solve", str(path)) == 4
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["message"] == "c: expected 1000000 entries, got 1"
+
     def test_unknown_field_exit(self, workdir):
         bad = workdir / "extra.json"
         bad.write_text(
@@ -279,6 +291,27 @@ class TestCheck:
         doc["y"] = ["a"] * len(doc["y"])
         out.write_text(json.dumps(doc))
         assert run_cli("check", str(path), str(out)) == 4
+
+    def test_string_entries_rejected(self, workdir, capsys):
+        # Strings that spell numbers must not be converted and checked.
+        path = gen(workdir, "feasible_sv", 5, seed=1)
+        out = workdir / "sol.json"
+        assert run_cli("solve", str(path), "--output", str(out)) == 0
+        doc = json.loads(out.read_text())
+        doc["y"] = [repr(v) for v in doc["y"]]
+        out.write_text(json.dumps(doc))
+        assert run_cli("check", str(path), str(out)) == 4
+        assert "y: expected a number" in capsys.readouterr().err
+
+    def test_boolean_certificate_entry_rejected(self, workdir, capsys):
+        path = gen(workdir, "infeasible_sv", 5)
+        out = workdir / "sol.json"
+        assert run_cli("solve", str(path), "--output", str(out)) == 2
+        doc = json.loads(out.read_text())
+        doc["cert_xi"][0] = False
+        out.write_text(json.dumps(doc))
+        assert run_cli("check", str(path), str(out)) == 4
+        assert "cert_xi: expected a number, got False" in capsys.readouterr().err
 
     def test_nothing_to_check(self, workdir):
         path = gen(workdir, "feasible_sv", 4)

@@ -5,13 +5,16 @@ import json
 import numpy as np
 import pytest
 
+import hqp
 from hqp import ProblemFormatError, QpProblem
+from hqp import fileio
 from hqp.fileio import (
     dumps_problem,
     load_problem,
     loads_problem,
     problem_from_dict,
     problem_to_dict,
+    save_problem,
 )
 
 
@@ -155,3 +158,136 @@ class TestSerializationFidelity:
         assert doc["n"] == 2
         assert doc["C"]["format"] == "dense"
         assert "min_eig_lower_bound" not in doc
+
+
+def coo_doc():
+    doc = sample_doc()
+    doc["C"] = {"format": "coo", "rows": [0, 1], "cols": [0, 1], "vals": [1.0, 1.0]}
+    return doc
+
+
+def entry_slot(doc, field):
+    """The list that holds ``field`` in ``doc``, and the index of the entry to
+    replace: the last one, so the entries before it are valid."""
+    if "." in field:
+        matrix, key = field.split(".")
+        target = doc[matrix][key]
+    else:
+        target = doc[field]
+    return target, len(target) - 1
+
+
+class TestVectorizedChecks:
+    """Each number list is checked in one pass; the error still names the
+    field and, where it can be shown, the offending entry."""
+
+    BAD = {
+        "true": "true",
+        "string": '"1"',
+        "null": "null",
+        "list": "[1]",
+        "object": "{}",
+        "huge_integer": "1" + "0" * 400,
+        "overflowing_float": "1e999",
+    }
+
+    @pytest.mark.parametrize("literal", BAD.values(), ids=BAD.keys())
+    @pytest.mark.parametrize("field", ["C.data", "c", "f", "C.rows", "C.vals"])
+    def test_bad_entry_names_its_field(self, field, literal):
+        doc = coo_doc() if field in ("C.rows", "C.vals") else sample_doc()
+        target, k = entry_slot(doc, field)
+        target[k] = "PLACEHOLDER"
+        text = json.dumps(doc).replace('"PLACEHOLDER"', literal)
+        with pytest.raises(ProblemFormatError) as info:
+            loads_problem(text)
+        assert str(info.value).startswith(f"{field}: ")
+
+    @pytest.mark.parametrize("key", ["rows", "cols"])
+    def test_index_beyond_int64_is_out_of_range(self, key):
+        doc = coo_doc()
+        doc["C"][key][1] = 10**30
+        with pytest.raises(ProblemFormatError, match=f"C.{key}: index 1{'0' * 30} out of range"):
+            problem_from_dict(doc)
+        doc["C"][key][1] = -(10**30)
+        with pytest.raises(ProblemFormatError, match="out of range"):
+            problem_from_dict(doc)
+
+    def test_float_index_refused(self):
+        doc = coo_doc()
+        doc["C"]["cols"][1] = 1.0
+        with pytest.raises(ProblemFormatError, match=r"C.cols: expected an integer, got 1.0"):
+            problem_from_dict(doc)
+
+    def test_first_offending_entry_is_named(self):
+        doc = sample_doc()
+        doc["C"]["data"] = [1.0, "x", True, 1.0]
+        with pytest.raises(ProblemFormatError, match="C.data: expected a number, got 'x'"):
+            problem_from_dict(doc)
+        doc = coo_doc()
+        doc["C"]["rows"] = [0, -1]
+        with pytest.raises(ProblemFormatError, match=r"C.rows: index -1 out of range \[0, 2\)"):
+            problem_from_dict(doc)
+
+    def test_coo_lists_and_lengths(self):
+        doc = coo_doc()
+        doc["C"]["vals"] = 1.0
+        with pytest.raises(ProblemFormatError, match="C.vals: expected a list"):
+            problem_from_dict(doc)
+        doc["C"]["vals"] = [1.0]
+        with pytest.raises(ProblemFormatError, match="C: rows/cols/vals lengths differ"):
+            problem_from_dict(doc)
+
+    def test_coo_duplicates_match_loop_reference(self):
+        # Many duplicates of values spread over 12 decades, so a different
+        # summation order would change the last bits.
+        rng = np.random.default_rng(5)
+        n, m, k = 6, 4, 400
+        doc = {"n": n, "m": m, "c": [0.0] * n, "f": [0.0] * m}
+        expected = {}
+        for name, rows in (("C", n), ("E", m)):
+            r = rng.integers(0, rows, size=k).tolist()
+            c = rng.integers(0, n, size=k).tolist()
+            v = (rng.standard_normal(k) * 10.0 ** rng.uniform(-6, 6, size=k)).tolist()
+            doc[name] = {"format": "coo", "rows": r, "cols": c, "vals": v}
+            ref = np.zeros((rows, n))
+            for i, j, val in zip(r, c, v):
+                ref[i, j] += val
+            expected[name] = ref
+        p = problem_from_dict(doc)
+        ref_C = 0.5 * (expected["C"] + expected["C"].T)
+        assert p.C.tobytes() == ref_C.tobytes()
+        assert p.E.tobytes() == expected["E"].tobytes()
+
+    def test_numpy_and_integer_entries_accepted(self):
+        doc = coo_doc()
+        doc["C"]["vals"] = [np.float64(1.0), 1]
+        doc["c"] = [np.float64(0.25), 2**60 + 1]
+        doc["f"] = [np.float64(-1.0)]
+        p = problem_from_dict(doc)
+        assert np.array_equal(p.C, np.eye(2))
+        assert p.c.tolist() == [0.25, float(2**60 + 1)]
+        assert p.f.tolist() == [-1.0]
+
+    def test_file_round_trip_is_bitwise(self, tmp_path):
+        spec = hqp.InstanceSpec(kind="feasible_sv", n=400, m=1, seed=3)
+        p = hqp.generate(spec)
+        path = tmp_path / "p.json"
+        save_problem(p, path)
+        back = load_problem(path)
+        for a, b in ((back.C, p.C), (back.c, p.c), (back.E, p.E), (back.f, p.f)):
+            assert a.tobytes() == b.tobytes()
+
+    def test_lists_do_not_go_through_the_scalar_check(self, tmp_path, monkeypatch):
+        # The per-entry path made loading 90% of `hqp solve` on an n = 400
+        # file; the scalar check is kept only for scalars.
+        spec = hqp.InstanceSpec(kind="infeasible_sv", n=400, m=1, seed=4)
+        p = hqp.generate(spec)
+        path = tmp_path / "p.json"
+        save_problem(p, path)
+
+        def refuse(value, where):
+            raise AssertionError(f"per-entry check called for {where}")
+
+        monkeypatch.setattr(fileio, "_require_number", refuse)
+        back = load_problem(path)
+        assert back.C.tobytes() == p.C.tobytes()
