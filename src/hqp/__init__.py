@@ -8,16 +8,12 @@ exists.
 """
 
 from .embedding import (
-    HqpKktPoint,
     HqpProblem,
     SolveOutcome,
     SolveStatus,
     ThetaReport,
-    check_reduced_hessian_pd,
     compute_theta,
-    compute_theta_star,
     embed,
-    hqp_kkt_residuals,
     recover,
 )
 from .errors import (
@@ -63,7 +59,6 @@ __all__ = [
     "FreeVariable",
     "GeneralQp",
     "HqpError",
-    "HqpKktPoint",
     "HqpProblem",
     "IipmConfig",
     "IipmIterate",
@@ -88,12 +83,9 @@ __all__ = [
     "ValidatedProblem",
     "active_set_oracle",
     "check_certificate",
-    "check_reduced_hessian_pd",
     "compute_theta",
-    "compute_theta_star",
     "embed",
     "generate",
-    "hqp_kkt_residuals",
     "qp_kkt_residuals",
     "recover",
     "run_experiment",

@@ -43,30 +43,33 @@ from .qp import (
 # positive.
 THETA_MARGIN = 0.1
 THETA_FLOOR = 1.0
+# Relative duality gap |y'xi| / (1 + |objective|) the optimal route must
+# meet on top of its scaled residuals: a tenth of recover's default
+# tolerance.  At the optimum tau = theta / (2 p* + theta), so a theta near
+# 2|theta_star| makes tau small, and rescaling by tau multiplies the lifted
+# gap by 1/tau^2.
+GAP_RTOL = 1e-7
 
 
 @dataclass(frozen=True)
 class ThetaReport:
     """How the embedding parameter was chosen.
 
-    theta must exceed both twice the magnitude of the equality-relaxed
-    optimal value (condition1_rhs) and the positive-definiteness bound
-    (pd_bound_rhs); the final value carries a multiplicative safety margin.
+    theta must exceed twice the magnitude of the equality-relaxed optimal
+    value theta_star (condition1_rhs); the final value carries a
+    multiplicative safety margin.
     """
 
     theta_star: float
-    pd_bound_rhs: float
     condition1_rhs: float
     theta: float
     margin: float
     override: bool = False
 
     def as_dict(self) -> dict:
-        clean = lambda v: v if np.isfinite(v) else None
         return {
             "theta_star": self.theta_star,
-            "pd_bound_rhs": clean(self.pd_bound_rhs),
-            "condition1_rhs": clean(self.condition1_rhs),
+            "condition1_rhs": self.condition1_rhs if np.isfinite(self.condition1_rhs) else None,
             "theta": self.theta,
             "margin": self.margin,
             "override": self.override,
@@ -75,16 +78,19 @@ class ThetaReport:
 
 @dataclass(frozen=True)
 class HqpProblem:
-    """The embedded program in standard form over x = (y, tau)."""
+    """The embedded program in standard form over x = (y, tau).
 
-    Q: np.ndarray
+    The lifted Hessian Q = [[C, c], [c', theta]] is never formed: it is
+    applied (:meth:`apply_hessian`), normed and split from C, c and theta.
+    """
+
     q: np.ndarray
     A: np.ndarray
     theta_report: ThetaReport
     parent: ValidatedProblem
 
     def __post_init__(self):
-        for a in (self.Q, self.q, self.A):
+        for a in (self.q, self.A):
             a.setflags(write=False)
 
     @property
@@ -98,16 +104,33 @@ class HqpProblem:
 
     @property
     def dim(self) -> int:
-        return self.Q.shape[0]
+        return self.n + 1
 
     @property
     def theta(self) -> float:
         return self.theta_report.theta
 
+    def apply_hessian(self, x: np.ndarray) -> np.ndarray:
+        """Q x = (C y + tau c, c'y + theta tau) for x = (y, tau)."""
+        problem = self.parent.problem
+        y, tau = x[:-1], x[-1]
+        out = np.empty_like(x)
+        out[:-1] = problem.apply_C(y) + tau * problem.c
+        out[-1] = problem.c @ y + self.theta * tau
+        return out
+
+    @cached_property
+    def hessian_norm(self) -> float:
+        """||Q||_inf, from C's absolute row sums, c and theta."""
+        problem = self.parent.problem
+        c_abs = np.abs(problem.c)
+        top = (problem.row_abs_sums + c_abs).max(initial=0.0)
+        return float(max(top, c_abs.sum() + abs(self.theta)))
+
     @cached_property
     def newton_data_norm(self) -> float:
         """:func:`linsys.newton_data_norm` of (Q, A), shared by every Newton step."""
-        return linsys.newton_data_norm(self.Q, self.A)
+        return linsys.newton_data_norm(self.hessian_norm, self.A)
 
     @cached_property
     def newton_split(self) -> linsys.DiagonalSplit:
@@ -115,198 +138,69 @@ class HqpProblem:
 
         Variable y_i is divided out when row i of C has no off-diagonal
         nonzero and C_ii >= 0, so its pivot C_ii + s_i/x_i is positive;
-        tau and the equality rows always stay in the factored block.
+        tau, the border (c, theta) of C, and the equality rows always stay
+        in the factored block.
         """
-        C = self.parent.problem.C
-        divide = linsys.diagonal_rows(C) & (np.diagonal(C) >= 0.0)
-        return linsys.split_diagonal(self.Q, self.A, np.append(divide, False))
+        problem = self.parent.problem
+        divide = problem.diagonal_rows & (np.diagonal(problem.C) >= 0.0)
+        return linsys.split_diagonal(
+            problem.C, self.A, divide, border=(problem.c, self.theta)
+        )
 
     def objective(self, x: np.ndarray) -> float:
         x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.Q @ x + self.q @ x)
+        return float(0.5 * x @ self.apply_hessian(x) + self.q @ x)
 
     def data_scale(self) -> float:
-        scale = max(
-            np.linalg.norm(self.Q, np.inf),
-            np.linalg.norm(self.q, np.inf),
-        )
+        scale = max(self.hessian_norm, np.linalg.norm(self.q, np.inf))
         if self.A.shape[0]:
             scale = max(scale, np.linalg.norm(self.A, np.inf))
         return float(scale)
 
 
-@dataclass(frozen=True)
-class HqpKktPoint:
-    """Primal-dual point for the lifted program: primal (y_hat, tau_hat),
-    equality multiplier nu_hat, bound multipliers (xi_hat, omega_hat)."""
-
-    y_hat: np.ndarray
-    tau_hat: float
-    nu_hat: np.ndarray
-    xi_hat: np.ndarray
-    omega_hat: float
-
-
-@dataclass(frozen=True)
-class HqpKktResiduals:
-    """Residuals of the lifted program's first-order optimality system."""
-
-    stat_y: np.ndarray
-    stat_tau: float
-    eq: np.ndarray
-    comp_max: float
-    nonneg: float
-
-    def max_violation(self) -> float:
-        """Largest residual; NaN when any residual is NaN."""
-        parts = [abs(self.stat_tau), self.comp_max, self.nonneg]
-        if self.stat_y.size:
-            parts.append(np.linalg.norm(self.stat_y, np.inf))
-        if self.eq.size:
-            parts.append(np.linalg.norm(self.eq, np.inf))
-        return float(np.max(parts))
-
-
-def hqp_kkt_residuals(hqp: HqpProblem, point: HqpKktPoint) -> HqpKktResiduals:
-    """Evaluate the lifted optimality system at a primal-dual point."""
-    problem = hqp.parent.problem
-    theta = hqp.theta
-    y, tau = point.y_hat, point.tau_hat
-    nu, xi, omega = point.nu_hat, point.xi_hat, point.omega_hat
-    stat_y = problem.C @ y + tau * problem.c + problem.E.T @ nu - xi
-    stat_tau = theta * tau - theta + problem.c @ y - problem.f @ nu - omega
-    eq = problem.E @ y - problem.f * tau
-    comp_terms = np.abs(y * xi)
-    comp_max = float(max(comp_terms.max(initial=0.0), abs(tau * omega)))
-    nonneg = float(
-        max(
-            0.0,
-            -y.min(initial=0.0),
-            -xi.min(initial=0.0),
-            -tau,
-            -omega,
-        )
-    )
-    return HqpKktResiduals(
-        stat_y=stat_y, stat_tau=float(stat_tau), eq=eq, comp_max=comp_max, nonneg=nonneg
-    )
-
-
-def compute_theta_star(validated: ValidatedProblem) -> float:
-    """Optimal value of the QP with the nonnegativity bounds dropped.
-
-    Well defined under the validated assumptions; obtained from a single
-    saddle-point solve [[C, E'], [E, 0]] (y; nu) = (-c; f) followed by an
-    objective evaluation.
-    """
-    problem = validated.problem
-    y_tilde, _ = linsys.solve_equality_kkt(
-        problem.C, problem.E, -problem.c, problem.f
-    )
-    return float(0.5 * y_tilde @ problem.C @ y_tilde + problem.c @ y_tilde)
-
-
 def compute_theta(validated: ValidatedProblem) -> ThetaReport:
     """Choose the embedding parameter.
 
-    theta = (1 + THETA_MARGIN) * max(2|theta_star|, pd_bound_rhs, THETA_FLOOR)
-    with pd_bound_rhs = ||Z'g||^2 / lambda_min(Z'CZ) - d'Cd - 2c'd, where d
-    is the minimum-norm solution of Ed = f and g = Cd + c; above it the
-    lifted Hessian is positive definite on null([E, -f]).  With an empty
-    null space (m = n) the reduced Hessian is the single entry
-    theta + d'Cd + 2c'd, so the bound degenerates to -d'Cd - 2c'd.  The
-    floor keeps theta strictly positive.
+    theta = (1 + THETA_MARGIN) * max(2|theta_star|, THETA_FLOOR).  On
+    null([E, -f]) at tau = 1 the lifted quadratic form is y'Cy + 2c'y +
+    theta with Ey = f, whose minimum over y is theta + 2 theta_star, and C
+    is positive definite on null(E) after validation; so the lifted
+    Hessian is positive definite there exactly when theta > -2 theta_star,
+    which 2|theta_star| already bounds.  The floor keeps theta strictly
+    positive.
     """
-    problem = validated.problem
-    d = validated.d
-    theta_star = compute_theta_star(validated)
-    dCd = float(d @ problem.C @ d)
-    cd = float(problem.c @ d)
-    if validated.lambda_min is None:
-        pd_bound_rhs = -dCd - 2.0 * cd
-    else:
-        grad = problem.C @ d + problem.c
-        numerator = float(np.sum((validated.Z.T @ grad) ** 2))
-        pd_bound_rhs = numerator / validated.lambda_min - dCd - 2.0 * cd
-
+    theta_star = validated.theta_star
     condition1_rhs = 2.0 * abs(theta_star)
-    theta = (1.0 + THETA_MARGIN) * max(condition1_rhs, pd_bound_rhs, THETA_FLOOR)
+    theta = (1.0 + THETA_MARGIN) * max(condition1_rhs, THETA_FLOOR)
     return ThetaReport(
         theta_star=theta_star,
-        pd_bound_rhs=float(pd_bound_rhs),
         condition1_rhs=condition1_rhs,
         theta=float(theta),
         margin=THETA_MARGIN,
     )
 
 
-def lifted_nullspace_basis(validated: ValidatedProblem) -> np.ndarray:
-    """Basis [[Z, d], [0, 1]] of the null space of [E, -f].
-
-    Z is the orthonormal basis of null(E) and d the minimum-norm
-    particular solution of Ed = f, both kept by validation; the block
-    column (d, 1) accounts for the scaling variable.  Full column rank
-    because d is orthogonal to range(Z).
-    """
-    k = validated.Z.shape[1]
-    Zhat = np.zeros((validated.n + 1, k + 1))
-    Zhat[: validated.n, :k] = validated.Z
-    Zhat[: validated.n, k] = validated.d
-    Zhat[validated.n, k] = 1.0
-    return Zhat
-
-
-def check_reduced_hessian_pd(validated: ValidatedProblem, theta: float) -> float:
-    """Smallest eigenvalue of the lifted Hessian reduced onto null([E, -f]).
-
-    Positive for any theta produced by :func:`compute_theta`; a
-    nonpositive value is the witness that theta is too small.  Kept as an
-    independent verifier: the solve path uses the equivalent scalar test
-    of :func:`manual_theta_report`.
-    """
-    problem = validated.problem
-    Zhat = lifted_nullspace_basis(validated)
-    Q = _lifted_matrices(problem, theta)[0]
-    M = Zhat.T @ Q @ Zhat
-    M = 0.5 * (M + M.T)
-    return float(np.linalg.eigvalsh(M)[0])
-
-
-def _lifted_matrices(problem, theta: float):
-    n = problem.n
-    Q = np.zeros((n + 1, n + 1))
-    Q[:n, :n] = problem.C
-    Q[:n, n] = problem.c
-    Q[n, :n] = problem.c
-    Q[n, n] = theta
-    q = np.zeros(n + 1)
-    q[n] = -theta
-    A = np.zeros((problem.m, n + 1))
-    A[:, :n] = problem.E
-    A[:, n] = -problem.f
-    return Q, q, A
-
-
 def embed(validated: ValidatedProblem, theta_report: ThetaReport) -> HqpProblem:
-    """Build the lifted standard-form program for a chosen theta."""
-    Q, q, A = _lifted_matrices(validated.problem, theta_report.theta)
-    return HqpProblem(Q=Q, q=q, A=A, theta_report=theta_report, parent=validated)
+    """Build the lifted standard-form program for a chosen theta:
+    q = (0, -theta) and A = [E, -f]."""
+    problem = validated.problem
+    q = np.zeros(problem.n + 1)
+    q[-1] = -theta_report.theta
+    A = np.hstack([problem.E, -problem.f[:, None]])
+    return HqpProblem(q=q, A=A, theta_report=theta_report, parent=validated)
 
 
 def manual_theta_report(validated: ValidatedProblem, theta: float) -> ThetaReport:
     """Wrap a user-supplied theta, refusing values that break convexity.
 
-    On null([E, -f]) at tau = 1 the lifted quadratic form is
-    y'Cy + 2c'y + theta with Ey = f, whose minimum is theta + 2 theta_star;
-    since validation made C positive definite on null(E), the lifted
-    Hessian is positive definite there exactly when theta > -2 theta_star.
-    That test is always run; the magnitude condition theta > 2|theta_star|
-    is reported but not enforced, since a nonconvex lift is the only hard
-    failure mode.
+    The lifted Hessian is positive definite on null([E, -f]) exactly when
+    theta > -2 theta_star (:func:`compute_theta`).  That test is always
+    run; the magnitude condition theta > 2|theta_star| is reported but not
+    enforced, since a nonconvex lift is the only hard failure mode.
     """
     if theta <= 0.0:
         raise NotReducedPd(f"theta must be positive, got {theta}")
-    theta_star = compute_theta_star(validated)
+    theta_star = validated.theta_star
     if theta <= -2.0 * theta_star:
         raise NotReducedPd(
             f"supplied theta {theta} leaves the reduced Hessian indefinite "
@@ -314,7 +208,6 @@ def manual_theta_report(validated: ValidatedProblem, theta: float) -> ThetaRepor
         )
     return ThetaReport(
         theta_star=theta_star,
-        pd_bound_rhs=float("nan"),
         condition1_rhs=float("nan"),
         theta=float(theta),
         margin=0.0,
@@ -334,13 +227,15 @@ class RecoveryReport:
 
     Both the rescaled optimal point and the certificate are always
     evaluated; classification picks whichever meets tolerance, preferring
-    the smaller scaled violation when both do.
+    the smaller scaled violation when both do.  ``gap`` is the optimal
+    route's relative duality gap (inf without a point).
     """
 
     tau_hat: float
     omega_hat: float
     kkt: Optional[KktResiduals]
     kkt_scaled: float
+    gap: float
     certificate: CertificateResiduals
     certificate_scaled: float
     tol: float
@@ -350,6 +245,7 @@ class RecoveryReport:
             "tau_hat": self.tau_hat,
             "omega_hat": self.omega_hat,
             "kkt_scaled": self.kkt_scaled if np.isfinite(self.kkt_scaled) else None,
+            "gap": self.gap if np.isfinite(self.gap) else None,
             "certificate_scaled": self.certificate_scaled,
             "tol": self.tol,
             "certificate": {
@@ -407,10 +303,11 @@ def recover(
     Splits x into (y_hat, tau_hat) and s into (xi_hat, omega_hat).  The
     optimal-point route rescales by tau_hat, the certificate route by
     theta + omega_hat; both are scored by their worst residual relative to
-    1 + data and point magnitudes, and whichever meets ``tol_recover``
-    wins (the smaller score on a tie, with ``tau_hint`` as the tie-break
-    between numerically identical scores).  Raises AmbiguousStatus when
-    neither route meets tolerance.
+    1 + max(data scale, theta), and whichever meets ``tol_recover`` wins
+    (the smaller score on a tie, with ``tau_hint`` as the tie-break between
+    numerically identical scores).  The optimal route must also bring its
+    relative duality gap |y'xi| / (1 + |0.5 y'Cy + c'y|) to GAP_RTOL.
+    Raises AmbiguousStatus when neither route meets tolerance.
     """
     problem = hqp.parent.problem
     n = problem.n
@@ -425,11 +322,13 @@ def recover(
 
     kkt = None
     kkt_scaled = np.inf
+    gap = np.inf
     point = None
     if tau_hat > 0.0:
         point = QpKktPoint(y=y_hat / tau_hat, nu=nu_hat / tau_hat, xi=xi_hat / tau_hat)
         kkt = qp_kkt_residuals(problem, point)
         kkt_scaled = kkt.max_violation() / data_scale
+        gap = kkt.r_comp / (1.0 + abs(problem.objective(point.y)))
 
     denom = hqp.theta + omega_hat
     cert = InfeasCertificate(nu=nu_hat / denom, xi=xi_hat / denom)
@@ -441,12 +340,13 @@ def recover(
         omega_hat=omega_hat,
         kkt=kkt,
         kkt_scaled=float(kkt_scaled),
+        gap=float(gap),
         certificate=cert_res,
         certificate_scaled=float(cert_scaled),
         tol=tol_recover,
     )
 
-    kkt_ok = kkt_scaled <= tol_recover
+    kkt_ok = kkt_scaled <= tol_recover and gap <= GAP_RTOL
     cert_ok = cert_scaled <= tol_recover
     if kkt_ok and cert_ok:
         if kkt_scaled == cert_scaled:
@@ -460,7 +360,8 @@ def recover(
     else:
         raise AmbiguousStatus(
             f"neither recovery met tolerance {tol_recover:.1e} "
-            f"(optimal route {kkt_scaled:.3e}, certificate route {cert_scaled:.3e})",
+            f"(optimal route {kkt_scaled:.3e} with gap {gap:.3e}, "
+            f"certificate route {cert_scaled:.3e})",
             report=report,
         )
 

@@ -10,7 +10,8 @@ class DimensionMismatch(HqpError):
 
 
 class ProblemFormatError(HqpError):
-    """Problem or solution file does not conform to the documented schema."""
+    """Problem data has non-finite entries, or a problem or solution file
+    does not conform to the documented schema."""
 
 
 class RankDeficient(HqpError):

@@ -102,7 +102,7 @@ def residuals(hqp: HqpProblem, x, lam, s):
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     s = np.asarray(s, dtype=float)
-    r_d = hqp.Q @ x + hqp.q + hqp.A.T @ lam - s
+    r_d = hqp.apply_hessian(x) + hqp.q + hqp.A.T @ lam - s
     r_p = hqp.A @ x
     mu = float(x @ s / x.size)
     return r_d, r_p, mu
@@ -200,7 +200,7 @@ def newton_direction(
         return centered
 
     dx, dlam, ds, rel = linsys.solve_newton_system(
-        hqp.Q, hqp.A, x, s, rhs, hqp.newton_data_norm, center, hqp.newton_split
+        hqp.apply_hessian, hqp.A, x, s, rhs, hqp.newton_data_norm, hqp.newton_split, center
     )
     return NewtonDirection(dx=dx, dlam=dlam, ds=ds, rel_residual=rel, **chosen)
 
@@ -377,7 +377,11 @@ def solve(
     upsilon = 1.0
     decay_err = float("nan")
     decay_abs = float("nan")
-    ambiguous = None  # the last recovery that certified neither route
+    # Message and report of the last recovery that certified neither route.
+    # The exception itself is not kept: its traceback holds this frame, and
+    # the cycle would keep every array of the solve alive until the cyclic
+    # garbage collector runs.
+    ambiguous = None
 
     def terminal(it: IipmIterate) -> bool:
         return it.mu <= config.tol_mu and it.residual_norm_inf() <= config.tol_res * max(
@@ -385,7 +389,8 @@ def solve(
         )
 
     def unresolved(reason: str) -> AmbiguousStatus:
-        return AmbiguousStatus(f"{ambiguous}; {reason}", report=ambiguous.report, log=log)
+        message, report = ambiguous
+        return AmbiguousStatus(f"{message}; {reason}", report=report, log=log)
 
     for k in range(config.max_iter + 1):
         record = IterationRecord(
@@ -418,7 +423,7 @@ def solve(
             try:
                 outcome = recover(hqp, iterate.x, iterate.lam, iterate.s)
             except AmbiguousStatus as exc:
-                ambiguous = exc
+                ambiguous = (str(exc), exc.report)
             else:
                 _final_diagnostics(outcome, hqp, iterate, k, zeta, True)
                 return outcome, log

@@ -1,12 +1,11 @@
 """Dense linear-algebra kernel.
 
-The null space and minimum-norm solution of the equality rows,
-equality-constrained KKT solves, and the interior-point Newton solve.
-Matrices are stored dense; target problems are small to medium.  Both
-solves are saddle-point systems [[H, B'], [B, 0]], and both first divide
-out the variables whose row of H has no off-diagonal nonzero and a
-positive pivot: such a row couples only to the rest, so its variable is
-eliminated by a division.  The Schur complement of the rest is symmetric
+Equality-constrained KKT solves with their inertia, and the interior-point
+Newton solve.  Matrices are stored dense; target problems are small to
+medium.  Both solves are saddle-point systems [[H, B'], [B, 0]], and both
+first divide out the variables whose row of H has no off-diagonal nonzero
+and a positive pivot: such a row couples only to the rest, so its
+variable is eliminated by a division.  The Schur complement of the rest is symmetric
 and is factored once with the Bunch-Kaufman LDL'; on the diagonal-Hessian
 families the kept block is only the border (tau and the equality rows).
 Every solve is residual checked, with iterative refinement on the same
@@ -21,7 +20,7 @@ import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
 
-from .errors import RankDeficient, SingularKkt, SingularNewton
+from .errors import SingularKkt, SingularNewton
 
 # Relative backsolve residual every factorized solve must meet.
 SOLVE_RTOL = 1e-10
@@ -31,74 +30,74 @@ SOLVE_RTOL = 1e-10
 MAX_REFINE_STEPS = 8
 
 
-def null_space_and_min_norm(E: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal null-space basis Z of E and the minimum-norm solution d
-    of E d = f, both from one full SVD E = U Sigma V'.
-
-    Z is the trailing n - m columns of V (Z'Z = I, E Z = 0; empty when E
-    is square) and d = V_1 Sigma^{-1} U'f, which lies in range(E') and is
-    therefore orthogonal to range(Z).  With zero rows Z is the identity
-    and d is zero.  Raises RankDeficient when fewer than m singular values
-    exceed the backward-stable threshold max(m, n) * sigma_1 * 1e-12.
-    """
-    E = np.atleast_2d(np.asarray(E, dtype=float))
-    f = np.asarray(f, dtype=float)
-    m, n = E.shape
-    if m == 0:
-        return np.eye(n), np.zeros(n)
-    U, svals, Vt = scipy.linalg.svd(E)
-    rank_tol = max(m, n) * svals[0] * 1e-12
-    rank = int(np.count_nonzero(svals > rank_tol))
-    if rank < m:
-        raise RankDeficient(
-            f"E has numerical rank {rank} < {m} (tolerance {rank_tol:.3e})"
-        )
-    d = Vt[:m].T @ ((U.T @ f) / svals)
-    return Vt[m:].T, d
-
-
 class AugmentedFactorization:
     """Bunch-Kaufman LDL' factorization of a dense symmetric KKT-type matrix.
 
     Only the upper triangle is read (LAPACK ``dsytrf``), so the matrix must
     be symmetric; 1x1 and 2x2 pivots handle the indefinite saddle-point
-    structure.  Solves are residual checked against SOLVE_RTOL relative to
-    the right-hand-side norm, with up to MAX_REFINE_STEPS iterative-
-    refinement steps against the stored matrix.  A solve that still misses
-    fails loudly with the error class the caller supplied.  With
-    ``overwrite`` a Fortran-ordered matrix is factored in its own storage,
-    so no copy is made; only the raw :meth:`backsolve` is then available,
-    and the caller refines against its own data.
+    structure.  A Fortran-ordered matrix is factored in its own storage, so
+    no copy is made and the matrix is overwritten.  :meth:`backsolve` is a
+    raw solve; callers refine against their own data (:func:`_refined_solve`).
+    An exactly singular D is kept for :meth:`inertia` and refused by
+    :meth:`backsolve`.
     """
 
-    def __init__(self, matrix: np.ndarray, error_cls=SingularKkt, overwrite=False):
+    def __init__(self, matrix: np.ndarray, error_cls=SingularKkt):
         self.error_cls = error_cls
         if not np.isfinite(matrix).all():
             raise error_cls("matrix contains non-finite entries")
         try:
             lwork, _ = scipy.linalg.lapack.dsytrf_lwork(matrix.shape[0])
-            self._ldu, self._piv, info = scipy.linalg.lapack.dsytrf(
-                matrix, lwork=int(lwork), overwrite_a=int(overwrite)
+            self._ldu, self._piv, self._info = scipy.linalg.lapack.dsytrf(
+                matrix, lwork=int(lwork), overwrite_a=1
             )
         except ValueError as exc:
             raise error_cls(f"factorization failed: {exc}") from exc
-        self.matrix = None if overwrite else matrix
-        if info != 0:
-            raise error_cls(f"factorization failed: dsytrf info {info} (> 0: singular)")
-        if not np.isfinite(self._ldu).all():
-            raise error_cls("factorization produced non-finite factors")
+        if self._info < 0 or not np.isfinite(self._ldu).all():
+            raise error_cls(f"factorization failed (dsytrf info {self._info})")
+
+    def inertia(self) -> tuple[int, int, int]:
+        """(positive, negative, zero) eigenvalue counts of the matrix.
+
+        By Sylvester's law they are those of the block-diagonal D.  With the
+        upper triangle factored, a 2x2 block occupies rows i, i+1 with
+        ``piv[i] = piv[i+1] < 0``, and its off-diagonal entry is stored
+        above the diagonal, at (i, i+1).
+        """
+        ldu, piv = self._ldu, self._piv
+        counts = [0, 0, 0]
+        i = 0
+        while i < piv.size:
+            if piv[i] > 0:
+                d = ldu[i, i]
+                counts[0 if d > 0.0 else 1 if d < 0.0 else 2] += 1
+                i += 1
+                continue
+            a, b, c = ldu[i, i], ldu[i, i + 1], ldu[i + 1, i + 1]
+            det = a * c - b * b
+            if det < 0.0:
+                counts[0] += 1
+                counts[1] += 1
+            elif det > 0.0:
+                counts[0 if a > 0.0 else 1] += 2
+            else:
+                counts[2] += 1
+                counts[0 if a + c > 0.0 else 1 if a + c < 0.0 else 2] += 1
+            i += 2
+        return tuple(counts)
 
     def backsolve(self, rhs: np.ndarray) -> np.ndarray:
         """Raw backsolve without the residual guarantee."""
+        if self._info > 0:
+            raise self.error_cls(
+                f"factorization failed: dsytrf info {self._info} (> 0: singular)"
+            )
         if not rhs.size:
             return np.zeros(0)  # dsytrs refuses an empty system
         x, info = scipy.linalg.lapack.dsytrs(self._ldu, self._piv, rhs)
         if info != 0:
             raise self.error_cls(f"backsolve failed (dsytrs info {info})")
         return x
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return _refined_solve(rhs, self.backsolve, lambda v: self.matrix @ v, self.error_cls)
 
 
 def _refined_solve(rhs, backsolve, apply, error_cls) -> np.ndarray:
@@ -138,7 +137,7 @@ def diagonal_rows(H: np.ndarray) -> np.ndarray:
 
 class DiagonalSplit(NamedTuple):
     """The saddle-point matrix K = [[H, B'], [B, 0]] split for dividing out
-    a set of variables whose block of H is diagonal.
+    a set of variables whose rows of H have no off-diagonal nonzero.
 
     ``sep`` are the divided-out variables, with pivots ``pivot`` = H_ii;
     ``keep`` are the other variables followed by the rows of B, and the
@@ -154,34 +153,46 @@ class DiagonalSplit(NamedTuple):
     K: np.ndarray
 
 
-def split_diagonal(H: np.ndarray, B: np.ndarray, divide: np.ndarray) -> DiagonalSplit:
+def split_diagonal(H: np.ndarray, B: np.ndarray, divide: np.ndarray, border=None) -> DiagonalSplit:
     """Split [[H, B'], [B, 0]] for dividing out the variables in the mask
-    ``divide``; H restricted to them must be diagonal."""
+    ``divide``; their rows of H must have no off-diagonal nonzero.
+
+    ``border`` = (b, beta) splits the bordered Hessian [[H, b], [b', beta]]
+    without forming it: its extra variable comes last, B has a column for
+    it, and it always stays in the kept block.
+    """
     n = H.shape[0]
     m = B.shape[0]
     sep = np.flatnonzero(divide)
     kept = np.flatnonzero(~np.asarray(divide))
-    k = kept.size
+    kept_vars = kept if border is None else np.append(kept, n)
+    k = kept_vars.size
     K = np.zeros((k + m, k + m), order="F")
-    K[:k, :k] = H[kept[:, None], kept]
-    K[k:, :k] = B[:, kept]
+    K[: kept.size, : kept.size] = H[kept[:, None], kept]
+    W = np.zeros((sep.size, k + m))
+    if border is not None:
+        b, beta = border
+        K[: k - 1, k - 1] = K[k - 1, : k - 1] = b[kept]
+        K[k - 1, k - 1] = beta
+        W[:, k - 1] = b[sep]
+    K[k:, :k] = B[:, kept_vars]
     K[:k, k:] = K[k:, :k].T
-    W = np.empty((sep.size, k + m))
-    W[:, :k] = H[sep[:, None], kept]
     W[:, k:] = B[:, sep].T
     return DiagonalSplit(
         sep=sep,
-        keep=np.concatenate([kept, n + np.arange(m)]),
-        kept_vars=kept,
-        pivot=H[sep, sep],
+        keep=np.concatenate([kept_vars, n + (border is not None) + np.arange(m)]),
+        kept_vars=kept_vars,
+        pivot=np.diagonal(H)[sep],
         W=W,
         K=K,
     )
 
 
-def factor_split(split: DiagonalSplit, shift: np.ndarray, error_cls) -> Callable:
+def factor_split(
+    split: DiagonalSplit, shift: np.ndarray, error_cls
+) -> tuple[Callable, AugmentedFactorization]:
     """Factor [[H + Diag(shift), B'], [B, 0]] by division and return its raw
-    solve.
+    solve and the factorization of the Schur complement.
 
     With h = pivot + shift on the divided-out variables, which must be
     positive, the Schur complement S = K - W' Diag(h)^-1 W is factored
@@ -197,7 +208,7 @@ def factor_split(split: DiagonalSplit, shift: np.ndarray, error_cls) -> Callable
     S.ravel(order="K")[: k * step : step] += shift[split.kept_vars]
     if sep.size:
         S -= (W.T / h) @ W
-    fact = AugmentedFactorization(S, error_cls, overwrite=True)
+    fact = AugmentedFactorization(S, error_cls)
 
     def solve(r):
         g = r[sep] / h
@@ -207,75 +218,87 @@ def factor_split(split: DiagonalSplit, shift: np.ndarray, error_cls) -> Callable
         out[sep] = g - (W @ z) / h
         return out
 
-    return solve
+    return solve, fact
 
 
-def solve_equality_kkt(
-    C: np.ndarray,
-    E: np.ndarray,
-    rhs_top: np.ndarray,
-    rhs_bot: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the saddle-point system [[C, E'], [E, 0]] (y; nu) = rhs.
+class EqualityKkt:
+    """The saddle-point matrix [[C, E'], [E, 0]], factored once.
 
-    Nonsingular when E has full row rank and C is positive definite on
-    null(E).  The variables whose row of C is diagonal with C_ii > 0 are
-    divided out (:func:`factor_split`); rows with C_ii <= 0 stay in the
-    factored block.  The residual is guaranteed to be at most SOLVE_RTOL
-    relative to the right-hand-side norm.
+    The variables in ``divide``, whose rows of C must be diagonal with
+    C_ii > 0 (by default all such variables), are divided out
+    (:func:`factor_split`); the rest, with the rows of E, form the
+    factored Schur complement.  It is
+    nonsingular when E has full row rank and C is positive definite on
+    null(E), which holds exactly when :meth:`inertia` is (n, m, 0).
     """
-    C = np.asarray(C, dtype=float)
-    E = np.atleast_2d(np.asarray(E, dtype=float))
-    n = C.shape[0]
-    rhs = np.concatenate([np.asarray(rhs_top, dtype=float), np.asarray(rhs_bot, dtype=float)])
-    split = split_diagonal(C, E, diagonal_rows(C) & (np.diagonal(C) > 0.0))
-    solve = factor_split(split, np.zeros(n), SingularKkt)
 
-    def apply(v):
-        return np.concatenate([C @ v[:n] + E.T @ v[n:], E @ v[:n]])
+    def __init__(self, C: np.ndarray, E: np.ndarray, divide: Optional[np.ndarray] = None):
+        self.C = np.asarray(C, dtype=float)
+        self.E = np.atleast_2d(np.asarray(E, dtype=float))
+        if divide is None:
+            divide = diagonal_rows(self.C) & (np.diagonal(self.C) > 0.0)
+        split = split_diagonal(self.C, self.E, divide)
+        self.n_divided = split.sep.size
+        self._solve, self._fact = factor_split(split, np.zeros(self.C.shape[0]), SingularKkt)
 
-    sol = _refined_solve(rhs, solve, apply, SingularKkt)
-    return sol[:n], sol[n:]
+    def inertia(self) -> tuple[int, int, int]:
+        """(positive, negative, zero) eigenvalue counts of the whole matrix:
+        each divided-out variable adds a positive pivot to those of the
+        Schur complement (Haynsworth)."""
+        pos, neg, zero = self._fact.inertia()
+        return pos + self.n_divided, neg, zero
+
+    def solve(self, rhs_top, rhs_bot) -> tuple[np.ndarray, np.ndarray]:
+        """(y; nu) with a residual of at most SOLVE_RTOL relative to the
+        right-hand-side norm."""
+        C, E = self.C, self.E
+        n = C.shape[0]
+        rhs = np.concatenate([np.asarray(rhs_top, dtype=float), np.asarray(rhs_bot, dtype=float)])
+
+        def apply(v):
+            return np.concatenate([C @ v[:n] + E.T @ v[n:], E @ v[:n]])
+
+        sol = _refined_solve(rhs, self._solve, apply, SingularKkt)
+        return sol[:n], sol[n:]
 
 
-def newton_data_norm(Q: np.ndarray, A: np.ndarray) -> float:
+def newton_data_norm(q_norm: float, A: np.ndarray) -> float:
     """The data part, max(||Q|| + ||A'|| + 1, ||A||), of the infinity norm
-    of the three-block Newton matrix; the iterate adds max(s + x)."""
+    of the three-block Newton matrix, given q_norm = ||Q||_inf; the
+    iterate adds max(s + x)."""
     a_inf = np.linalg.norm(A, np.inf) if A.shape[0] else 0.0
     a_t_inf = np.linalg.norm(A.T, np.inf) if A.shape[0] else 0.0
-    return float(max(np.linalg.norm(Q, np.inf) + a_t_inf + 1.0, a_inf))
+    return float(max(q_norm + a_t_inf + 1.0, a_inf))
 
 
-def newton_backward_error(Q, A, x, s, rhs, dx, dlam, ds, data_norm=None) -> float:
+def newton_backward_error(apply_q, A, x, s, rhs, dx, dlam, ds, data_norm) -> float:
     """Normwise backward error of a three-block solve.
 
     eta = ||residual|| / (||M|| ||delta|| + ||rhs||), the standard accuracy
     measure for a linear solve.  A plain rhs-relative residual is not
     attainable in double precision when the solution dwarfs the right-hand
     side, which happens at late iterates on infeasible problems whose dual
-    multipliers grow along the certificate ray.  ``data_norm`` defaults to
-    :func:`newton_data_norm` of (Q, A).
+    multipliers grow along the certificate ray.  ``apply_q`` multiplies by
+    Q, and ``data_norm`` is :func:`newton_data_norm`.
     """
-    e1 = rhs[: dx.size] - (Q @ dx + A.T @ dlam - ds)
+    e1 = rhs[: dx.size] - (apply_q(dx) + A.T @ dlam - ds)
     e2 = rhs[dx.size : dx.size + dlam.size] - A @ dx
     e3 = rhs[dx.size + dlam.size :] - (s * dx + x * ds)
     residual = np.linalg.norm(np.concatenate([e1, e2, e3]))
-    if data_norm is None:
-        data_norm = newton_data_norm(Q, A)
     mat_norm = max(data_norm, float(np.max(s + x)))
     sol_norm = np.linalg.norm(np.concatenate([dx, dlam, ds]))
     return float(residual / (mat_norm * sol_norm + np.linalg.norm(rhs)))
 
 
 def solve_newton_system(
-    Q: np.ndarray,
+    apply_q: Callable,
     A: np.ndarray,
     x: np.ndarray,
     s: np.ndarray,
     rhs: np.ndarray,
-    data_norm: Optional[float] = None,
+    data_norm: float,
+    split: DiagonalSplit,
     center: Optional[Callable] = None,
-    split: Optional[DiagonalSplit] = None,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Solve the three-block interior-point step system.
 
@@ -287,10 +310,10 @@ def solve_newton_system(
 
     ds is eliminated through the last block row, leaving the symmetric
     augmented system [[Q + X^{-1}S, A'], [A, 0]] for (dx, dlam), and is
-    recovered as ds = X^{-1}(rhs_3 - S dx).  ``split`` names the
-    variables divided out of the augmented system, with pivots
-    Q_ii + s_i/x_i > 0 (:func:`factor_split`); by default those whose row
-    of Q is diagonal.  The rest is factored once, in place.  With
+    recovered as ds = X^{-1}(rhs_3 - S dx).  Q enters only through
+    ``apply_q``, which multiplies by it, and ``split``, its split for
+    dividing out variables with pivots Q_ii + s_i/x_i > 0
+    (:func:`factor_split`).  The rest is factored once, in place.  With
     ``center``, ``rhs`` is a predictor right-hand side: its plain solve
     (dx, dlam, ds), unrefined and unchecked, goes to ``center``, which
     returns the right-hand side to solve next on the same factors.  The
@@ -301,20 +324,17 @@ def solve_newton_system(
     (dx, dlam, ds, backward error).  ``data_norm`` is passed on to
     :func:`newton_backward_error`.
     """
-    Q = np.asarray(Q, dtype=float)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     rhs = np.asarray(rhs, dtype=float)
-    N = Q.shape[0]
+    N = x.size
     m = A.shape[0]
     if rhs.shape != (2 * N + m,):
         raise ValueError(f"rhs must have length {2 * N + m}, got {rhs.shape}")
     if (x <= 0.0).any() or (s <= 0.0).any():
         raise SingularNewton("iterate left the positive orthant")
-    if split is None:
-        split = split_diagonal(Q, A, diagonal_rows(Q) & (np.diagonal(Q) >= 0.0))
-    solve_aug = factor_split(split, s / x, SingularNewton)
+    solve_aug, _ = factor_split(split, s / x, SingularNewton)
 
     def eliminate(t1, t2, t3):
         aug = solve_aug(np.concatenate([t1 + t3 / x, t2]))
@@ -330,7 +350,7 @@ def solve_newton_system(
     r1, r2, r3 = rhs[:N], rhs[N:N + m], rhs[N + m:]
 
     def block_residual(dx, dlam, ds):
-        e1 = r1 - (Q @ dx + A.T @ dlam - ds)
+        e1 = r1 - (apply_q(dx) + A.T @ dlam - ds)
         e2 = r2 - A @ dx
         e3 = r3 - (s * dx + x * ds)
         return e1, e2, e3
@@ -341,7 +361,7 @@ def solve_newton_system(
     # Refinement progress is non-monotone near the boundary, so keep the
     # best solution seen.
     for _ in range(MAX_REFINE_STEPS + 1):
-        eta = newton_backward_error(Q, A, x, s, rhs, dx, dlam, ds, data_norm)
+        eta = newton_backward_error(apply_q, A, x, s, rhs, dx, dlam, ds, data_norm)
         if np.isfinite(eta) and eta < best_eta:
             best, best_eta = (dx, dlam, ds), eta
         if best_eta <= SOLVE_RTOL:

@@ -19,7 +19,13 @@ import numpy as np
 import scipy.linalg
 
 from . import linsys
-from .errors import DimensionMismatch, FreeVariable, NotReducedPd
+from .errors import (
+    DimensionMismatch,
+    FreeVariable,
+    NotReducedPd,
+    ProblemFormatError,
+    RankDeficient,
+)
 
 
 def _vector(a, name: str) -> np.ndarray:
@@ -35,7 +41,9 @@ class QpProblem:
     """Convex QP in standard form (equalities plus nonnegativity bounds).
 
     The Hessian is symmetrized on construction, since the quadratic form only
-    sees the symmetric part.
+    sees the symmetric part.  Non-finite entries are refused.  The mask of
+    the rows of C with no off-diagonal nonzero and C's absolute row sums
+    are kept, so that no later product or norm needs an n x n temporary.
     """
 
     def __init__(self, C, c, E=None, f=None):
@@ -55,6 +63,9 @@ class QpProblem:
         f = np.zeros(0) if f is None else _vector(f, "f")
         if f.size != m:
             raise DimensionMismatch(f"f must have length {m}, got {f.size}")
+        for name, a in (("C", C), ("c", c), ("E", E), ("f", f)):
+            if not np.isfinite(a).all():
+                raise ProblemFormatError(f"{name} has non-finite entries")
 
         self.n = n
         self.m = m
@@ -62,17 +73,26 @@ class QpProblem:
         self.c = c.copy()
         self.E = E.copy()
         self.f = f.copy()
-        for a in (self.C, self.c, self.E, self.f):
+        self.diagonal_rows = linsys.diagonal_rows(self.C)
+        self.row_abs_sums = np.abs(self.C).sum(axis=1)
+        for a in (self.C, self.c, self.E, self.f, self.diagonal_rows, self.row_abs_sums):
             a.setflags(write=False)
+        self._diagonal = np.diagonal(self.C) if self.diagonal_rows.all() else None
+
+    def apply_C(self, y: np.ndarray) -> np.ndarray:
+        """C y; a product with the diagonal when every row of C is diagonal."""
+        if self._diagonal is not None:
+            return self._diagonal * y
+        return self.C @ y
 
     def objective(self, y: np.ndarray) -> float:
         y = np.asarray(y, dtype=float)
-        return float(0.5 * y @ self.C @ y + self.c @ y)
+        return float(0.5 * y @ self.apply_C(y) + self.c @ y)
 
     def data_scale(self) -> float:
         """Infinity-norm scale of the problem data, used to relativize tolerances."""
         scale = max(
-            np.linalg.norm(self.C, np.inf),
+            self.row_abs_sums.max(initial=0.0),
             np.linalg.norm(self.c, np.inf) if self.n else 0.0,
         )
         if self.m:
@@ -122,14 +142,11 @@ class InfeasCertificate:
 
 @dataclass(frozen=True)
 class ValidatedProblem:
-    """QpProblem wrapper carrying an orthonormal basis Z of null(E), the
-    minimum-norm solution d of Ed = f, and the smallest eigenvalue of the
-    reduced Hessian Z'CZ (None when the null space is empty)."""
+    """QpProblem that passed :func:`validate`, with theta_star, the optimal
+    value of the QP with the nonnegativity bounds dropped."""
 
     problem: QpProblem
-    Z: np.ndarray
-    d: np.ndarray
-    lambda_min: Optional[float]
+    theta_star: float
 
     @property
     def n(self) -> int:
@@ -141,27 +158,35 @@ class ValidatedProblem:
 
 
 def validate(problem: QpProblem) -> ValidatedProblem:
-    """Check full row rank of E and positive definiteness of the reduced
-    Hessian; keep Z, d and the smallest reduced eigenvalue.
+    """Check full row rank of E and positive definiteness of C on null(E),
+    and compute theta_star.
 
-    One SVD of E decides the rank, against the backward-stable threshold
-    max(m, n) * ||E||_2 * 1e-12, and gives Z and d
-    (:func:`linsys.null_space_and_min_norm`).  Positive definiteness uses
-    the scale-relative threshold 1e-10 * (1 + ||C||_inf); it holds
-    vacuously when m = n.
+    The singular values of E decide the rank, against the backward-stable
+    threshold max(m, n) * sigma_1 * 1e-12.  Then K = [[C, E'], [E, 0]] is
+    factored once (:class:`linsys.EqualityKkt`): with E of full row rank,
+    C is positive definite on null(E) exactly when the inertia of K is
+    (n, m, 0), which holds vacuously when m = n.  The same factors solve
+    K (y; nu) = (-c; f), and theta_star = 0.5 y'Cy + c'y.
     """
-    Z, d = linsys.null_space_and_min_norm(problem.E, problem.f)
-    lambda_min = None
-    if Z.shape[1]:
-        M = Z.T @ problem.C @ Z
-        lambda_min = float(scipy.linalg.eigh(0.5 * (M + M.T), eigvals_only=True)[0])
-        pd_tol = 1e-10 * (1.0 + np.linalg.norm(problem.C, np.inf))
-        if lambda_min <= pd_tol:
-            raise NotReducedPd(
-                f"smallest reduced-Hessian eigenvalue {lambda_min:.3e} "
-                f"is not above {pd_tol:.3e}"
+    n, m = problem.n, problem.m
+    if m:
+        svals = scipy.linalg.svdvals(problem.E)
+        rank_tol = max(m, n) * svals[0] * 1e-12
+        rank = int(np.count_nonzero(svals > rank_tol))
+        if rank < m:
+            raise RankDeficient(
+                f"E has numerical rank {rank} < {m} (tolerance {rank_tol:.3e})"
             )
-    return ValidatedProblem(problem=problem, Z=Z, d=d, lambda_min=lambda_min)
+    divide = problem.diagonal_rows & (np.diagonal(problem.C) > 0.0)
+    kkt = linsys.EqualityKkt(problem.C, problem.E, divide)
+    inertia = kkt.inertia()
+    if inertia != (n, m, 0):
+        raise NotReducedPd(
+            f"KKT matrix inertia {inertia} is not ({n}, {m}, 0): "
+            f"C is not positive definite on null(E)"
+        )
+    y, _ = kkt.solve(-problem.c, problem.f)
+    return ValidatedProblem(problem=problem, theta_star=problem.objective(y))
 
 
 @dataclass(frozen=True)
@@ -194,7 +219,7 @@ def qp_kkt_residuals(problem: QpProblem, point: QpKktPoint) -> KktResiduals:
     """Evaluate the optimality residuals at a primal-dual point (pure)."""
     point.check_dims(problem)
     y, nu, xi = point.y, point.nu, point.xi
-    r_stat = problem.C @ y + problem.c + problem.E.T @ nu - xi
+    r_stat = problem.apply_C(y) + problem.c + problem.E.T @ nu - xi
     r_eq = problem.E @ y - problem.f
     comp_min = np.minimum(y, xi)
     r_comp = float(abs(y @ xi))

@@ -5,10 +5,13 @@ certificate so tests can assert against ground truth that never touched
 the solver.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 import scipy.linalg
 
-from hqp import GeneralQp, QpKktPoint, QpProblem, to_standard_form
+from hqp import GeneralQp, QpKktPoint, QpProblem, RankDeficient, to_standard_form
+from hqp import linsys
 
 
 def full_newton_matrix(Q, A, x, s):
@@ -23,6 +26,152 @@ def full_newton_matrix(Q, A, x, s):
     M[N + m:, :N] = np.diag(s)
     M[N + m:, N + m:] = np.diag(x)
     return M
+
+
+def dense_newton(Q, A):
+    """(apply, data_norm, split) of a dense Hessian Q for
+    linsys.solve_newton_system; the split divides out the rows of Q that
+    are diagonal with Q_ii >= 0."""
+    Q = np.asarray(Q, dtype=float)
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    divide = linsys.diagonal_rows(Q) & (np.diagonal(Q) >= 0.0)
+    return (
+        lambda v: Q @ v,
+        linsys.newton_data_norm(np.linalg.norm(Q, np.inf), A),
+        linsys.split_diagonal(Q, A, divide),
+    )
+
+
+def null_space_and_min_norm(E, f):
+    """Orthonormal null-space basis Z of E and the minimum-norm solution d
+    of E d = f, both from one full SVD E = U Sigma V'.
+
+    Z is the trailing n - m columns of V (Z'Z = I, E Z = 0; empty when E
+    is square) and d = V_1 Sigma^{-1} U'f, which lies in range(E') and is
+    therefore orthogonal to range(Z).  With zero rows Z is the identity
+    and d is zero.  Raises RankDeficient when fewer than m singular values
+    exceed the threshold max(m, n) * sigma_1 * 1e-12 that validation uses.
+    """
+    E = np.atleast_2d(np.asarray(E, dtype=float))
+    f = np.asarray(f, dtype=float)
+    m, n = E.shape
+    if m == 0:
+        return np.eye(n), np.zeros(n)
+    U, svals, Vt = scipy.linalg.svd(E)
+    rank_tol = max(m, n) * svals[0] * 1e-12
+    rank = int(np.count_nonzero(svals > rank_tol))
+    if rank < m:
+        raise RankDeficient(f"E has numerical rank {rank} < {m} (tolerance {rank_tol:.3e})")
+    d = Vt[:m].T @ ((U.T @ f) / svals)
+    return Vt[m:].T, d
+
+
+def reduced_min_eig(problem):
+    """Smallest eigenvalue of the reduced Hessian Z'CZ, or None when the
+    null space of E is empty."""
+    Z = null_space_and_min_norm(problem.E, problem.f)[0]
+    if not Z.shape[1]:
+        return None
+    M = Z.T @ problem.C @ Z
+    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+
+
+def lifted_matrices(problem, theta):
+    """The dense lifted data Q = [[C, c], [c', theta]], q = (0, -theta) and
+    A = [E, -f] that the solver applies without forming Q."""
+    n = problem.n
+    Q = np.zeros((n + 1, n + 1))
+    Q[:n, :n] = problem.C
+    Q[:n, n] = problem.c
+    Q[n, :n] = problem.c
+    Q[n, n] = theta
+    q = np.zeros(n + 1)
+    q[n] = -theta
+    A = np.zeros((problem.m, n + 1))
+    A[:, :n] = problem.E
+    A[:, n] = -problem.f
+    return Q, q, A
+
+
+def lifted_hessian(hqp):
+    """The dense lifted Hessian Q of an embedded problem."""
+    return lifted_matrices(hqp.parent.problem, hqp.theta)[0]
+
+
+def lifted_nullspace_basis(validated):
+    """Basis [[Z, d], [0, 1]] of the null space of [E, -f].
+
+    Z is an orthonormal basis of null(E) and d the minimum-norm particular
+    solution of Ed = f; the block column (d, 1) accounts for the scaling
+    variable.  Full column rank because d is orthogonal to range(Z).
+    """
+    Z, d = null_space_and_min_norm(validated.problem.E, validated.problem.f)
+    n, k = Z.shape
+    Zhat = np.zeros((n + 1, k + 1))
+    Zhat[:n, :k] = Z
+    Zhat[:n, k] = d
+    Zhat[n, k] = 1.0
+    return Zhat
+
+
+def check_reduced_hessian_pd(validated, theta):
+    """Smallest eigenvalue of the lifted Hessian reduced onto null([E, -f]).
+
+    A nonpositive value is the witness that theta is too small: an
+    independent check of the solver's scalar test theta > -2 theta_star.
+    """
+    Zhat = lifted_nullspace_basis(validated)
+    Q = lifted_matrices(validated.problem, theta)[0]
+    M = Zhat.T @ Q @ Zhat
+    return float(np.linalg.eigvalsh(0.5 * (M + M.T))[0])
+
+
+@dataclass(frozen=True)
+class HqpKktPoint:
+    """Primal-dual point for the lifted program: primal (y_hat, tau_hat),
+    equality multiplier nu_hat, bound multipliers (xi_hat, omega_hat)."""
+
+    y_hat: np.ndarray
+    tau_hat: float
+    nu_hat: np.ndarray
+    xi_hat: np.ndarray
+    omega_hat: float
+
+
+@dataclass(frozen=True)
+class HqpKktResiduals:
+    """Residuals of the lifted program's first-order optimality system."""
+
+    stat_y: np.ndarray
+    stat_tau: float
+    eq: np.ndarray
+    comp_max: float
+    nonneg: float
+
+    def max_violation(self) -> float:
+        """Largest residual; NaN when any residual is NaN."""
+        parts = [abs(self.stat_tau), self.comp_max, self.nonneg]
+        if self.stat_y.size:
+            parts.append(np.linalg.norm(self.stat_y, np.inf))
+        if self.eq.size:
+            parts.append(np.linalg.norm(self.eq, np.inf))
+        return float(np.max(parts))
+
+
+def hqp_kkt_residuals(hqp, point):
+    """Evaluate the lifted optimality system at a primal-dual point."""
+    problem = hqp.parent.problem
+    theta = hqp.theta
+    y, tau = point.y_hat, point.tau_hat
+    nu, xi, omega = point.nu_hat, point.xi_hat, point.omega_hat
+    stat_y = problem.C @ y + tau * problem.c + problem.E.T @ nu - xi
+    stat_tau = theta * tau - theta + problem.c @ y - problem.f @ nu - omega
+    eq = problem.E @ y - problem.f * tau
+    comp_max = float(max(np.abs(y * xi).max(initial=0.0), abs(tau * omega)))
+    nonneg = float(max(0.0, -y.min(initial=0.0), -xi.min(initial=0.0), -tau, -omega))
+    return HqpKktResiduals(
+        stat_y=stat_y, stat_tau=float(stat_tau), eq=eq, comp_max=comp_max, nonneg=nonneg
+    )
 
 
 def separable_reference(C):

@@ -18,7 +18,6 @@ import pytest
 
 from hqp import (
     AmbiguousStatus,
-    HqpKktPoint,
     IipmConfig,
     InfeasCertificate,
     InstanceKind,
@@ -27,18 +26,23 @@ from hqp import (
     SolveStatus,
     active_set_oracle,
     check_certificate,
-    check_reduced_hessian_pd,
     compute_theta,
     embed,
     generate,
-    hqp_kkt_residuals,
     qp_kkt_residuals,
     solve_qp,
     validate,
 )
-from hqp.embedding import lifted_nullspace_basis
-
-from _support import paper_pd_bounds, planted_certificate_instance, planted_kkt_instance
+from _support import (
+    HqpKktPoint,
+    check_reduced_hessian_pd,
+    hqp_kkt_residuals,
+    lifted_hessian,
+    lifted_nullspace_basis,
+    paper_pd_bounds,
+    planted_certificate_instance,
+    planted_kkt_instance,
+)
 
 SIZES = (10, 25, 50)
 SEEDS = range(10)
@@ -244,15 +248,16 @@ def test_criterion_5_theta_machinery():
         lam = check_reduced_hessian_pd(v, rep.theta)
         assert lam > 0.0
         assert rep.theta > 2.0 * abs(rep.theta_star)
-        # Exact threshold <= shipped (exact_Z) bound <= the paper's
-        # norm-relaxed bound, the last computed on the test side.
-        assert rep.pd_bound_rhs >= -2.0 * rep.theta_star - 1e-12
-        assert paper_pd_bounds(problem)["norm_relaxed"] >= rep.pd_bound_rhs - 1e-12
+        # Exact threshold -2 theta_star <= the paper's exact_Z bound <= its
+        # norm-relaxed bound, the last two computed on the test side.
+        bounds = paper_pd_bounds(problem)
+        assert bounds["exact_Z"] >= -2.0 * rep.theta_star - 1e-12
+        assert bounds["norm_relaxed"] >= bounds["exact_Z"] - 1e-12
         worst_margin = min(worst_margin, lam)
     print(
         f"criterion 5 PASS: 50 instances; reduced Hessian stays positive definite "
         f"(smallest margin {worst_margin:.2e}), magnitude condition strict, "
-        f"-2 theta_star <= shipped bound <= norm-relaxed bound"
+        f"-2 theta_star <= exact_Z bound <= norm-relaxed bound"
     )
 
 
@@ -314,8 +319,8 @@ def test_criterion_7_nullspace_product_identity():
         for _ in range(250):
             x_bar = Zhat @ rng.standard_normal(Zhat.shape[1])
             lam_bar = rng.standard_normal(h.m)
-            s_bar = h.Q @ x_bar + h.A.T @ lam_bar
-            lhs = float(x_bar @ h.Q @ x_bar)
+            s_bar = h.apply_hessian(x_bar) + h.A.T @ lam_bar
+            lhs = float(x_bar @ lifted_hessian(h) @ x_bar)
             rhs = float(x_bar @ s_bar)
             gap = abs(lhs - rhs)
             assert gap <= 1e-10 * max(1.0, abs(lhs))

@@ -5,7 +5,6 @@ import pytest
 
 from hqp import (
     AmbiguousStatus,
-    HqpKktPoint,
     InfeasCertificate,
     InstanceKind,
     InstanceSpec,
@@ -13,23 +12,29 @@ from hqp import (
     QpProblem,
     SolveStatus,
     check_certificate,
-    check_reduced_hessian_pd,
     compute_theta,
-    compute_theta_star,
     embed,
     generate,
-    hqp_kkt_residuals,
     qp_kkt_residuals,
     recover,
     validate,
 )
-from hqp.embedding import HqpKktResiduals, manual_theta_report
+from hqp.embedding import manual_theta_report
 
 from _support import (
+    STRUCTURED_KINDS,
+    HqpKktPoint,
+    HqpKktResiduals,
+    check_reduced_hessian_pd,
+    hqp_kkt_residuals,
+    lifted_matrices,
     paper_pd_bounds,
     planted_certificate_instance,
     planted_kkt_instance,
+    reduced_min_eig,
     reference_theta_star,
+    separable_reference,
+    structured_problem,
 )
 
 
@@ -55,44 +60,47 @@ class TestThetaStar:
     def test_one_variable(self):
         # Equality-relaxed minimum of 0.5 y^2 on y = 1.
         v = validate(QpProblem([[1.0]], [0.0], [[1.0]], [1.0]))
-        assert compute_theta_star(v) == pytest.approx(0.5, abs=1e-12)
+        assert v.theta_star == pytest.approx(0.5, abs=1e-12)
 
     def test_worked_instance(self):
-        assert compute_theta_star(worked_validated()) == pytest.approx(-0.75, abs=1e-12)
+        assert worked_validated().theta_star == pytest.approx(-0.75, abs=1e-12)
 
     def test_zero_data(self):
         v = validate(QpProblem(np.eye(2), np.zeros(2), [[1.0, 1.0]], [0.0]))
-        assert compute_theta_star(v) == pytest.approx(0.0, abs=1e-14)
+        assert v.theta_star == pytest.approx(0.0, abs=1e-14)
 
 
 class TestComputeTheta:
     def test_worked_exact_bound(self):
+        # The paper's exact bound, kept as a test-side reference, equals
+        # 2|theta_star| = -2 theta_star here.
         rep = compute_theta(worked_validated())
-        assert rep.pd_bound_rhs == pytest.approx(1.5, abs=1e-12)
+        assert paper_pd_bounds(worked_problem())["exact_Z"] == pytest.approx(1.5, abs=1e-12)
         assert rep.condition1_rhs == pytest.approx(1.5, abs=1e-12)
         assert rep.theta == pytest.approx(1.65, abs=1e-12)
         assert rep.margin == 0.1
 
     def test_worked_norm_relaxed(self):
         # The paper's norm-relaxed bound, kept as a test-side reference,
-        # is 2.0 here and sits above the shipped bound 1.5.
+        # is 2.0 here and sits above the exact threshold 1.5.
         bounds = paper_pd_bounds(worked_problem())
         assert bounds["norm_relaxed"] == pytest.approx(2.0, abs=1e-12)
         assert bounds["exact_Z"] == pytest.approx(1.5, abs=1e-12)
-        assert compute_theta(worked_validated()).pd_bound_rhs <= bounds["norm_relaxed"]
+        assert -2.0 * compute_theta(worked_validated()).theta_star <= bounds["norm_relaxed"]
 
     def test_zero_data_floor(self):
         v = validate(QpProblem(np.eye(2), np.zeros(2), [[1.0, 1.0]], [0.0]))
         rep = compute_theta(v)
-        assert rep.pd_bound_rhs == pytest.approx(0.0, abs=1e-14)
+        assert rep.theta_star == pytest.approx(0.0, abs=1e-14)
+        assert paper_pd_bounds(v.problem)["exact_Z"] == pytest.approx(0.0, abs=1e-14)
         assert rep.theta == pytest.approx(1.1)
 
     def test_user_alpha_bound(self):
         # ||Cd+c||^2 / alpha - d'Cd - 2c'd = 0.5/0.5 - 0.5 + 2 = 2.5, above
-        # the shipped bound 1.5.
+        # the exact threshold 1.5.
         bounds = paper_pd_bounds(worked_problem(), alpha=0.5)
         assert bounds["alpha"] == pytest.approx(2.5, abs=1e-12)
-        assert compute_theta(worked_validated()).pd_bound_rhs <= bounds["alpha"]
+        assert -2.0 * compute_theta(worked_validated()).theta_star <= bounds["alpha"]
 
     @pytest.mark.parametrize(
         "kind,n,m,scaled",
@@ -105,32 +113,39 @@ class TestComputeTheta:
     )
     @pytest.mark.parametrize("seed", [0, 1])
     def test_matches_reference_exact_z(self, kind, n, m, scaled, seed):
-        # The shipped theta is the paper's exact_Z rule, recomputed here
-        # with scipy's null space, a least-squares d and a dense KKT solve.
+        # The shipped theta is 1.1 max(2|theta_star|, 1), with theta_star
+        # recomputed by a dense KKT solve.  The paper's exact_Z rule, from
+        # scipy's null space and a least-squares d, never lies below it, and
+        # on the sv families (Z'CZ = I) it gives the same theta.
         problem = generate(InstanceSpec(InstanceKind(kind), n=n, m=m, seed=seed))
         if scaled:
             problem = column_scaled(problem, seed)
         rep = compute_theta(validate(problem))
         condition1 = 2.0 * abs(reference_theta_star(problem))
-        expected = 1.1 * max(condition1, paper_pd_bounds(problem)["exact_Z"], 1.0)
-        assert rep.theta == pytest.approx(expected, rel=1e-9)
+        assert rep.theta == pytest.approx(1.1 * max(condition1, 1.0), rel=1e-9)
+        exact_z = 1.1 * max(condition1, paper_pd_bounds(problem)["exact_Z"], 1.0)
+        assert rep.theta <= exact_z * (1.0 + 1e-9)
+        if kind != "random_spd":
+            assert rep.theta == pytest.approx(exact_z, rel=1e-9)
 
     def test_square_equality_block(self):
         # m = n leaves only the single diagonal entry theta + d'Cd + 2c'd.
         v = validate(QpProblem([[1.0]], [0.0], [[1.0]], [1.0]))
         rep = compute_theta(v)
-        assert rep.pd_bound_rhs == pytest.approx(-1.0, abs=1e-12)
-        assert compute_theta_star(v) == pytest.approx(0.5)
+        assert paper_pd_bounds(v.problem)["exact_Z"] == pytest.approx(-1.0, abs=1e-12)
+        assert v.theta_star == pytest.approx(0.5)
         assert rep.theta == pytest.approx(1.1 * max(1.0, 1.0))
 
     def test_invariants_hold(self):
         rng = np.random.default_rng(8)
         for _ in range(10):
             p, _ = planted_kkt_instance(rng, int(rng.integers(2, 7)), int(rng.integers(1, 3)))
-            rep = compute_theta(validate(p))
+            v = validate(p)
+            rep = compute_theta(v)
             assert rep.theta > 2 * abs(rep.theta_star)
-            assert rep.theta > rep.pd_bound_rhs
+            assert rep.theta > -2.0 * rep.theta_star
             assert rep.theta > 0
+            assert check_reduced_hessian_pd(v, rep.theta) > 0.0
 
 
 class TestReducedHessianCheck:
@@ -160,9 +175,35 @@ class TestReducedHessianCheck:
 class TestEmbed:
     def test_one_variable_blocks(self):
         h = one_var_hqp(theta=2.0)
-        assert np.array_equal(h.Q, [[1.0, 0.0], [0.0, 2.0]])
+        Q = np.column_stack([h.apply_hessian(e) for e in np.eye(2)])
+        assert np.array_equal(Q, [[1.0, 0.0], [0.0, 2.0]])
         assert np.array_equal(h.q, [0.0, -2.0])
         assert np.array_equal(h.A, [[1.0, -1.0]])
+
+    @pytest.mark.parametrize("kind", STRUCTURED_KINDS)
+    def test_structure_matches_dense_lift(self, kind):
+        # Q is applied, normed and split from C, c and theta; each agrees
+        # with the dense [[C, c], [c', theta]] of the test side.
+        rng = np.random.default_rng(23)
+        v = validate(structured_problem(rng, kind))
+        h = embed(v, compute_theta(v))
+        Q, q, A = lifted_matrices(v.problem, h.theta)
+        assert np.array_equal(h.q, q) and np.array_equal(h.A, A)
+        for _ in range(5):
+            x = rng.standard_normal(h.dim)
+            assert np.allclose(h.apply_hessian(x), Q @ x, rtol=1e-14, atol=1e-14)
+        assert h.hessian_norm == pytest.approx(np.linalg.norm(Q, np.inf), rel=1e-14)
+        # The split is the dense KKT matrix [[Q, A'], [A, 0]] indexed by
+        # its own sep and keep.
+        split = h.newton_split
+        assert split.sep.tolist() == [
+            i for i in separable_reference(v.problem.C) if v.problem.C[i, i] >= 0.0
+        ]
+        K = np.block([[Q, A.T], [A, np.zeros((h.m, h.m))]])
+        assert np.array_equal(split.K, K[np.ix_(split.keep, split.keep)])
+        assert np.array_equal(split.W, K[np.ix_(split.sep, split.keep)])
+        assert np.array_equal(split.pivot, np.diag(Q)[split.sep])
+        assert split.kept_vars.tolist() == [i for i in split.keep if i <= h.n]
 
     def test_origin_always_feasible(self):
         rng = np.random.default_rng(21)
@@ -204,7 +245,7 @@ class TestManualTheta:
         # instances have theta_star < 0, so the threshold is above the
         # theta > 0 floor.
         v = validate(generate(InstanceSpec(InstanceKind(kind), n=n, m=m, seed=seed)))
-        threshold = -2.0 * compute_theta_star(v)
+        threshold = -2.0 * v.theta_star
         assert threshold > 0.0
         assert check_reduced_hessian_pd(v, 1.1 * threshold) > 0.0
         manual_theta_report(v, 1.1 * threshold)
@@ -261,6 +302,28 @@ class TestRecover:
         h = one_var_hqp(theta=2.0)
         with pytest.raises(AmbiguousStatus):
             recover(h, np.zeros(2), np.zeros(1), np.zeros(2))
+
+    def test_gap_bounds_the_optimal_route(self):
+        # On y = 1 with xi = eps and nu = eps - 1, stationarity and the
+        # equality hold exactly, and min(y, xi) = eps is within tolerance;
+        # the relative gap eps / (1 + 0.5) decides the optimal route.
+        h = one_var_hqp(theta=2.0)
+        tau = 2.0 / 3.0
+        for eps, optimal in ((1e-8, True), (5e-7, False)):
+            args = (
+                np.array([tau, tau]),
+                np.array([tau * (eps - 1.0)]),
+                np.array([tau * eps, 0.0]),
+            )
+            if optimal:
+                rep = recover(h, *args).recovery
+            else:
+                with pytest.raises(AmbiguousStatus, match="gap") as info:
+                    recover(h, *args)
+                rep = info.value.report
+                assert rep.kkt_scaled <= rep.tol
+            assert rep.gap == pytest.approx(eps / 1.5, rel=1e-9)
+            assert rep.as_dict()["gap"] == rep.gap
 
     def test_report_carries_both_routes(self):
         h = one_var_hqp(theta=2.0)
@@ -331,8 +394,8 @@ class TestEmbeddingRoundTrips:
 
 
 class TestBoundOrdering:
-    """-2 theta_star (the exact threshold) <= shipped bound <= the paper's
-    relaxed bounds, which live on the test side."""
+    """-2 theta_star (the exact threshold) <= the paper's exact_Z bound <=
+    its relaxed bounds, which live on the test side."""
 
     def test_norm_relaxed_dominates_exact(self):
         rng = np.random.default_rng(33)
@@ -342,8 +405,9 @@ class TestBoundOrdering:
             problem, _ = planted_kkt_instance(rng, n, m)
             v = validate(problem)
             rep = compute_theta(v)
-            assert rep.pd_bound_rhs >= -2.0 * rep.theta_star - 1e-12
-            assert paper_pd_bounds(problem)["norm_relaxed"] >= rep.pd_bound_rhs - 1e-12
+            bounds = paper_pd_bounds(problem)
+            assert bounds["exact_Z"] >= -2.0 * rep.theta_star - 1e-12
+            assert bounds["norm_relaxed"] >= bounds["exact_Z"] - 1e-12
             assert check_reduced_hessian_pd(v, rep.theta) > 0.0
 
     def test_user_alpha_dominates_exact(self):
@@ -354,9 +418,9 @@ class TestBoundOrdering:
             problem, _ = planted_kkt_instance(rng, n, m)
             v = validate(problem)
             rep = compute_theta(v)
-            alpha = paper_pd_bounds(problem, alpha=0.5 * v.lambda_min)["alpha"]
-            assert rep.pd_bound_rhs >= -2.0 * rep.theta_star - 1e-12
-            assert alpha >= rep.pd_bound_rhs - 1e-12
+            bounds = paper_pd_bounds(problem, alpha=0.5 * reduced_min_eig(problem))
+            assert bounds["exact_Z"] >= -2.0 * rep.theta_star - 1e-12
+            assert bounds["alpha"] >= bounds["exact_Z"] - 1e-12
 
 
 class TestObjectiveLowerBoundChain:

@@ -35,9 +35,13 @@ from hqp.iipm import (
     solve,
     step_length,
 )
-from hqp.embedding import lifted_nullspace_basis
-
-from _support import full_newton_matrix, planted_kkt_instance, structured_problem
+from _support import (
+    full_newton_matrix,
+    lifted_hessian,
+    lifted_nullspace_basis,
+    planted_kkt_instance,
+    structured_problem,
+)
 
 
 def one_var_hqp(theta=2.0, f=1.0):
@@ -172,14 +176,15 @@ class TestNewtonDirection:
         # affine direction in closed form.
         h = one_var_hqp(theta=2.0)
         x = np.array([2.0, 2.0])
-        s = h.Q @ x + h.q  # lam = 0 keeps the dual residual zero
+        s = h.apply_hessian(x) + h.q  # lam = 0 keeps the dual residual zero
         it = IipmIterate.compute(h, x, np.zeros(1), s)
         cfg = IipmConfig()
         d = newton_direction(h, it, cfg)
         assert cfg.sigma_min <= d.sigma <= cfg.sigma_max
         assert d.sigma == cfg.centering_weight(d.mu_aff, it.mu)
         aff = np.linalg.solve(
-            full_newton_matrix(h.Q, h.A, x, s), np.concatenate([np.zeros(3), -x * s])
+            full_newton_matrix(lifted_hessian(h), h.A, x, s),
+            np.concatenate([np.zeros(3), -x * s]),
         )
         assert np.allclose(
             np.concatenate([d.dx, d.dlam, d.ds]), (1.0 - d.sigma) * aff, atol=1e-12
@@ -359,7 +364,7 @@ class TestSolve:
             counts.update(factorizations=0, backsolves=0, backward_errors=0)
             d = raw_direction(hqp_problem, iterate, config)
             x, s, mu = iterate.x, iterate.s, iterate.mu
-            Q, A = hqp_problem.Q, hqp_problem.A
+            Q, A = lifted_hessian(hqp_problem), hqp_problem.A
             # The affine-scaling direction from a dense solve of the
             # unreduced three-block system, independent of the solver's.
             N, m = x.size, A.shape[0]
@@ -371,8 +376,9 @@ class TestSolve:
             alpha = min(1.0, positivity_boundary(x, s, dx_aff, ds_aff))
             mu_aff = (x + alpha * dx_aff) @ (s + alpha * ds_aff) / N
             rhs = np.concatenate([-iterate.r_d, -iterate.r_p, -x * s + d.sigma * mu])
-            # Without data_norm the matrix norms are recomputed from scratch.
-            eta = raw_backward_error(Q, A, x, s, rhs, d.dx, d.dlam, d.ds)
+            # The dense Q and its norm, recomputed from scratch.
+            data_norm = hqp.linsys.newton_data_norm(np.linalg.norm(Q, np.inf), A)
+            eta = raw_backward_error(lambda v: Q @ v, A, x, s, rhs, d.dx, d.dlam, d.ds, data_norm)
             per_step.append((dict(counts), mu, mu_aff, eta))
             return d
 
@@ -445,10 +451,10 @@ class TestSolve:
 
         raw = hqp.linsys.solve_newton_system
 
-        def fail_late(Q, A, x, s, *args):
+        def fail_late(apply_q, A, x, s, *args):
             if x @ s / x.size <= IipmConfig().tol_mu:
                 raise SingularNewton("forced")
-            return raw(Q, A, x, s, *args)
+            return raw(apply_q, A, x, s, *args)
 
         monkeypatch.setattr(hqp.linsys, "solve_newton_system", fail_late)
         validated = validate(generate(InstanceSpec(InstanceKind.FEASIBLE_SV, 10, seed=12)))
@@ -499,8 +505,8 @@ class TestNullspaceSelfConsistency:
             u = rng.standard_normal(Zhat.shape[1])
             x_bar = Zhat @ u
             lam_bar = rng.standard_normal(h.m)
-            s_bar = h.Q @ x_bar + h.A.T @ lam_bar
-            lhs = x_bar @ h.Q @ x_bar
+            s_bar = h.apply_hessian(x_bar) + h.A.T @ lam_bar
+            lhs = x_bar @ lifted_hessian(h) @ x_bar
             rhs = x_bar @ s_bar
             assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(lhs))
             assert rhs >= -1e-10 * (x_bar @ x_bar)

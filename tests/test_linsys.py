@@ -1,5 +1,5 @@
-"""Dense kernel: null space and minimum-norm solution of E, saddle-point
-and Newton solves."""
+"""Dense kernel: saddle-point solves and their inertia, and Newton solves.
+The test-side null space and minimum-norm solution of E are checked too."""
 
 import numpy as np
 import pytest
@@ -15,23 +15,31 @@ from hqp import (
     generate,
     validate,
 )
+from hqp import linsys
 from hqp.linsys import (
     AugmentedFactorization,
     SOLVE_RTOL,
+    _refined_solve,
     newton_backward_error,
-    null_space_and_min_norm,
-    solve_equality_kkt,
     solve_newton_system,
 )
 
 from _support import (
     STRUCTURED_KINDS,
+    dense_newton,
     full_newton_matrix,
+    lifted_hessian,
+    null_space_and_min_norm,
     random_full_rank,
     random_spd_matrix,
+    reduced_min_eig,
     separable_reference,
     structured_problem,
 )
+
+
+def solve_equality_kkt(C, E, rhs_top, rhs_bot):
+    return linsys.EqualityKkt(C, E).solve(rhs_top, rhs_bot)
 
 
 def null_basis(E):
@@ -186,32 +194,40 @@ class TestMinNormParticular:
 
 
 class TestReducedMinEig:
-    """The smallest eigenvalue of Z'CZ that validation keeps."""
+    """The smallest eigenvalue of Z'CZ (test side) on problems that
+    validation accepts."""
 
     def test_identity(self):
-        v = validate(QpProblem(np.eye(2), np.zeros(2), [[1.0, -1.0]], [0.0]))
-        assert v.lambda_min == pytest.approx(1.0)
+        p = QpProblem(np.eye(2), np.zeros(2), [[1.0, -1.0]], [0.0])
+        validate(p)
+        assert reduced_min_eig(p) == pytest.approx(1.0)
 
     def test_coordinate_basis(self):
-        v = validate(QpProblem(np.diag([1.0, 4.0]), np.zeros(2), [[1.0, 0.0]], [0.0]))
-        assert v.lambda_min == pytest.approx(4.0)
+        p = QpProblem(np.diag([1.0, 4.0]), np.zeros(2), [[1.0, 0.0]], [0.0])
+        validate(p)
+        assert reduced_min_eig(p) == pytest.approx(4.0)
 
     def test_average(self):
         # null([1 1]) is spanned by (1, -1)/sqrt(2): (2 + 3)/2.
-        v = validate(QpProblem(np.diag([2.0, 3.0]), np.zeros(2), [[1.0, 1.0]], [0.0]))
-        assert v.lambda_min == pytest.approx(2.5)
+        p = QpProblem(np.diag([2.0, 3.0]), np.zeros(2), [[1.0, 1.0]], [0.0])
+        validate(p)
+        assert reduced_min_eig(p) == pytest.approx(2.5)
 
     def test_empty_basis(self):
-        v = validate(QpProblem(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2)))
-        assert v.Z.shape == (2, 0)
-        assert v.lambda_min is None
+        p = QpProblem(np.eye(2), np.zeros(2), np.eye(2), np.zeros(2))
+        validate(p)
+        assert null_space_and_min_norm(p.E, p.f)[0].shape == (2, 0)
+        assert reduced_min_eig(p) is None
 
 
 class TestNewtonSystem:
     def test_zero_rhs(self):
         Q = np.eye(2)
         A = np.array([[1.0, -1.0]])
-        dx, dlam, ds, eta = solve_newton_system(Q, A, np.ones(2), np.ones(2), np.zeros(5))
+        apply_q, data_norm, split = dense_newton(Q, A)
+        dx, dlam, ds, eta = solve_newton_system(
+            apply_q, A, np.ones(2), np.ones(2), np.zeros(5), data_norm, split
+        )
         assert not dx.any() and not dlam.any() and not ds.any()
         assert eta == 0.0
 
@@ -228,7 +244,8 @@ class TestNewtonSystem:
         assert s == pytest.approx([2.0, 2.0])
         mu = x @ s / 2.0
         rhs = np.concatenate([np.zeros(2), np.zeros(1), -x * s + 1.0 * mu * np.ones(2)])
-        dx, dlam, ds, _ = solve_newton_system(Q, A, x, s, rhs)
+        apply_q, data_norm, split = dense_newton(Q, A)
+        dx, dlam, ds, _ = solve_newton_system(apply_q, A, x, s, rhs, data_norm, split)
         assert np.linalg.norm(np.concatenate([dx, dlam, ds]), np.inf) <= 1e-12
 
     def test_matches_dense_oracle(self):
@@ -241,11 +258,12 @@ class TestNewtonSystem:
             x = rng.random(n) + 0.1
             s = rng.random(n) + 0.1
             rhs = rng.standard_normal(2 * n + m)
-            dx, dlam, ds, returned_eta = solve_newton_system(Q, A, x, s, rhs)
+            apply_q, data_norm, split = dense_newton(Q, A)
+            dx, dlam, ds, returned_eta = solve_newton_system(apply_q, A, x, s, rhs, data_norm, split)
             oracle = np.linalg.solve(full_newton_matrix(Q, A, x, s), rhs)
             sol = np.concatenate([dx, dlam, ds])
             assert np.allclose(sol, oracle, rtol=1e-9, atol=1e-11)
-            eta = newton_backward_error(Q, A, x, s, rhs, dx, dlam, ds)
+            eta = newton_backward_error(apply_q, A, x, s, rhs, dx, dlam, ds, data_norm)
             assert eta <= SOLVE_RTOL
             assert returned_eta == eta
 
@@ -270,16 +288,20 @@ class TestNewtonSystem:
             ratio = 10.0 ** rng.uniform(-10, 6, N)
             x, s = np.sqrt(prod * ratio), np.sqrt(prod / ratio)
             rhs = rng.standard_normal(2 * N + hqp.m)
-            # The default split divides out only diagonal rows of Q (none
+            # The dense split divides out only diagonal rows of Q (none
             # here, since c couples each y_i to tau); the problem's own
-            # split divides out every y_i whose row of C is diagonal.
-            for split in (None, hqp.newton_split):
+            # split divides out every y_i whose row of C is diagonal.  The
+            # backward error is recomputed from the dense Q.
+            apply_q, data_norm, dense_split = dense_newton(lifted_hessian(hqp), hqp.A)
+            assert data_norm == pytest.approx(hqp.newton_data_norm, rel=1e-14)
+            for split in (dense_split, hqp.newton_split):
                 dx, dlam, ds, eta = solve_newton_system(
-                    hqp.Q, hqp.A, x, s, rhs, hqp.newton_data_norm, split=split
+                    hqp.apply_hessian, hqp.A, x, s, rhs, hqp.newton_data_norm, split
                 )
                 assert eta <= SOLVE_RTOL
                 assert eta == pytest.approx(
-                    newton_backward_error(hqp.Q, hqp.A, x, s, rhs, dx, dlam, ds), rel=1e-12
+                    newton_backward_error(apply_q, hqp.A, x, s, rhs, dx, dlam, ds, data_norm),
+                    rel=1e-12,
                 )
 
     @pytest.mark.parametrize("kind", STRUCTURED_KINDS)
@@ -308,14 +330,15 @@ class TestNewtonSystem:
         monkeypatch.setattr(linsys, "AugmentedFactorization", Recording)
         N = lifted.dim
         solve_newton_system(
-            lifted.Q, lifted.A, np.ones(N), np.ones(N), np.ones(2 * N + lifted.m), split=split
+            lifted.apply_hessian, lifted.A, np.ones(N), np.ones(N), np.ones(2 * N + lifted.m),
+            lifted.newton_data_norm, split,
         )
         assert orders == [len(kept)]
         # The raw solve, before any refinement, is the augmented solve.
         shift = np.random.default_rng(1).random(N) + 0.5
-        K = kkt_matrix(lifted.Q + np.diag(shift), lifted.A)
+        K = kkt_matrix(lifted_hessian(lifted) + np.diag(shift), lifted.A)
         r = np.random.default_rng(2).standard_normal(N + lifted.m)
-        raw = linsys.factor_split(split, shift, SingularKkt)(r)
+        raw = linsys.factor_split(split, shift, SingularKkt)[0](r)
         assert np.allclose(raw, np.linalg.solve(K, r), rtol=1e-10, atol=1e-12)
 
     @pytest.mark.parametrize("kind", STRUCTURED_KINDS)
@@ -334,10 +357,10 @@ class TestNewtonSystem:
             x, s = np.sqrt(prod * ratio), np.sqrt(prod / ratio)
             rhs = rng.standard_normal(2 * N + hqp.m)
             dx, dlam, ds, eta = solve_newton_system(
-                hqp.Q, hqp.A, x, s, rhs, hqp.newton_data_norm, split=hqp.newton_split
+                hqp.apply_hessian, hqp.A, x, s, rhs, hqp.newton_data_norm, hqp.newton_split
             )
             assert eta <= SOLVE_RTOL
-            M = full_newton_matrix(hqp.Q, hqp.A, x, s)
+            M = full_newton_matrix(lifted_hessian(hqp), hqp.A, x, s)
             sol = np.concatenate([dx, dlam, ds])
             dense_eta = np.linalg.norm(M @ sol - rhs) / (
                 np.linalg.norm(M, np.inf) * np.linalg.norm(sol) + np.linalg.norm(rhs)
@@ -350,15 +373,24 @@ class TestNewtonSystem:
     def test_positivity_required(self):
         from hqp import SingularNewton
 
+        A = np.zeros((0, 1))
+        apply_q, data_norm, split = dense_newton(np.eye(1), A)
         with pytest.raises(SingularNewton):
             solve_newton_system(
-                np.eye(1), np.zeros((0, 1)), np.array([0.0]), np.array([1.0]), np.zeros(2)
+                apply_q, A, np.array([0.0]), np.array([1.0]), np.zeros(2), data_norm, split
             )
 
 
 def kkt_matrix(C, E):
     m = E.shape[0]
     return np.block([[C, E.T], [E, np.zeros((m, m))]])
+
+
+def refined(M, rhs):
+    """Factor a copy of M in place and solve M x = rhs through
+    _refined_solve, refining against M itself."""
+    fact = AugmentedFactorization(np.array(M, dtype=float, order="F"))
+    return _refined_solve(rhs, fact.backsolve, lambda v: M @ v, SingularKkt)
 
 
 class TestAugmentedFactorization:
@@ -370,7 +402,7 @@ class TestAugmentedFactorization:
             kkt_matrix(np.eye(2), np.array([[1.0, 0.0], [1.0, 0.0]])),
         ):
             with pytest.raises(SingularKkt):
-                AugmentedFactorization(M).solve(np.eye(M.shape[0])[-1])
+                refined(M, np.eye(M.shape[0])[-1])
 
     @pytest.mark.parametrize(
         "M",
@@ -390,7 +422,7 @@ class TestAugmentedFactorization:
     )
     def test_indefinite_needs_two_by_two_pivots(self, M):
         rhs = np.random.default_rng(5).standard_normal(M.shape[0])
-        x = AugmentedFactorization(M).solve(rhs)
+        x = refined(M, rhs)
         assert np.linalg.norm(M @ x - rhs) <= SOLVE_RTOL * np.linalg.norm(rhs)
 
     def test_nonsymmetric_never_wrong(self):
@@ -403,7 +435,7 @@ class TestAugmentedFactorization:
             M = random_spd_matrix(rng, n) + 10.0 ** (k % 4 - 2) * rng.standard_normal((n, n))
             rhs = rng.standard_normal(n)
             try:
-                x = AugmentedFactorization(M).solve(rhs)
+                x = refined(M, rhs)
             except SingularKkt:
                 continue
             solved += 1
@@ -418,6 +450,67 @@ class TestAugmentedFactorization:
         rng = np.random.default_rng(9)
         M = random_spd_matrix(rng, 6)
         rhs = rng.standard_normal(6)
-        a = AugmentedFactorization(M.copy()).solve(rhs)
-        b = AugmentedFactorization(M.copy()).solve(rhs)
+        a = refined(M, rhs)
+        b = refined(M, rhs)
         assert np.array_equal(a, b)
+
+    def test_factors_in_place(self):
+        # A Fortran-ordered matrix is overwritten by its factors.
+        M = np.asfortranarray(random_spd_matrix(np.random.default_rng(10), 5))
+        before = M.copy()
+        AugmentedFactorization(M)
+        assert not np.array_equal(M, before)
+
+
+def eig_inertia(M):
+    """(positive, negative, zero) eigenvalue counts of a symmetric matrix,
+    with zero judged relative to its largest eigenvalue."""
+    w = np.linalg.eigvalsh(M)
+    tol = 1e-10 * max(1.0, np.abs(w).max(initial=0.0))
+    return int((w > tol).sum()), int((w < -tol).sum()), int((np.abs(w) <= tol).sum())
+
+
+class TestInertia:
+    def test_factorization_matches_eigvalsh(self):
+        # Indefinite symmetric matrices need 2x2 pivots; the count must read
+        # each block's off-diagonal entry from the factored triangle.
+        rng = np.random.default_rng(11)
+        two_by_two = 0
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            G = rng.standard_normal((n, n))
+            M = G + G.T
+            fact = AugmentedFactorization(np.asfortranarray(M))
+            two_by_two += int((fact._piv < 0).sum())
+            assert fact.inertia() == eig_inertia(M)
+        assert two_by_two > 0
+
+    def test_kkt_matches_eigvalsh(self):
+        # Random KKT matrices whose C mixes diagonal-only rows (divided out
+        # when C_ii > 0) with a dense block that is often indefinite.
+        rng = np.random.default_rng(12)
+        seen = set()
+        for _ in range(60):
+            n = int(rng.integers(2, 10))
+            m = int(rng.integers(0, n + 1))
+            C = np.diag(rng.standard_normal(n))
+            block = rng.permutation(n)[: int(rng.integers(0, n + 1))]
+            G = rng.standard_normal((block.size, block.size))
+            C[np.ix_(block, block)] = G + G.T
+            E = random_full_rank(rng, m, n)
+            kkt = linsys.EqualityKkt(C, E)
+            expected = eig_inertia(kkt_matrix(C, E))
+            assert kkt.inertia() == expected
+            seen.add(expected == (n, m, 0))
+            assert kkt.n_divided == len(
+                [i for i in separable_reference(C) if C[i, i] > 0.0]
+            )
+        assert seen == {True, False}
+
+    def test_failure_modes(self):
+        # Dependent rows leave a zero eigenvalue; a C that is indefinite on
+        # null(E) moves one to the negative side.
+        E = np.array([[1.0, 0.0, 1.0], [2.0, 0.0, 2.0]])
+        assert linsys.EqualityKkt(np.eye(3), E).inertia() == (3, 1, 1)
+        C = np.diag([1.0, -1.0, 1.0])
+        assert linsys.EqualityKkt(C, np.array([[1.0, 0.0, 0.0]])).inertia() == (2, 2, 0)

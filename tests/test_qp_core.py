@@ -9,6 +9,7 @@ from hqp import (
     GeneralQp,
     InfeasCertificate,
     NotReducedPd,
+    ProblemFormatError,
     QpKktPoint,
     QpProblem,
     RankDeficient,
@@ -20,7 +21,14 @@ from hqp import (
 
 from hqp.qp import CertificateResiduals, KktResiduals
 
-from _support import planted_kkt_instance, random_full_rank, random_spd_matrix
+from _support import (
+    null_space_and_min_norm,
+    planted_kkt_instance,
+    random_full_rank,
+    random_spd_matrix,
+    reduced_min_eig,
+    reference_theta_star,
+)
 
 
 def worked_problem():
@@ -40,6 +48,15 @@ class TestProblemConstruction:
         with pytest.raises(DimensionMismatch):
             QpProblem(np.eye(1), [1.0], [[1.0], [2.0]], [1.0, 2.0])
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("field", ["C", "c", "E", "f"])
+    def test_nonfinite_rejected(self, field, value):
+        data = dict(C=np.eye(2), c=np.ones(2), E=np.ones((1, 2)), f=np.ones(1))
+        data[field] = np.array(data[field])
+        data[field].flat[-1] = value
+        with pytest.raises(ProblemFormatError, match=f"^{field} has non-finite"):
+            QpProblem(data["C"], data["c"], data["E"], data["f"])
+
     def test_arrays_immutable(self):
         p = worked_problem()
         with pytest.raises(ValueError):
@@ -50,11 +67,16 @@ class TestValidate:
     def test_worked_instance(self):
         # Null space of [1 1] is spanned by z = (1,-1)/sqrt(2); the reduced
         # Hessian z'Cz of the identity is exactly 1.
-        v = validate(worked_problem())
+        # Validation keeps theta_star = -0.75, the minimum of
+        # 0.5|y|^2 + y1 + y2 on y1 + y2 = -1.
+        p = worked_problem()
+        v = validate(p)
         z = np.array([1.0, -1.0]) / np.sqrt(2.0)
         assert z @ np.eye(2) @ z == pytest.approx(1.0, abs=1e-15)
-        assert v.lambda_min == pytest.approx(1.0, abs=1e-12)
-        assert abs(v.Z[:, 0] @ z) == pytest.approx(1.0, abs=1e-12)
+        assert reduced_min_eig(p) == pytest.approx(1.0, abs=1e-12)
+        Z = null_space_and_min_norm(p.E, p.f)[0]
+        assert abs(Z[:, 0] @ z) == pytest.approx(1.0, abs=1e-12)
+        assert v.theta_star == pytest.approx(-0.75, abs=1e-15)
 
     def test_duplicate_row_rank_deficient(self):
         p = QpProblem(np.eye(2), [0.0, 0.0], [[1.0, 1.0], [2.0, 2.0]], [0.0, 0.0])
@@ -66,30 +88,43 @@ class TestValidate:
         with pytest.raises(NotReducedPd):
             validate(p)
 
+    def test_singular_on_null_space(self):
+        # C = diag(1, 0) is positive semidefinite, and zero on null([1, 0]):
+        # the KKT matrix is singular, with a zero pivot.
+        p = QpProblem(np.diag([1.0, 0.0]), [0.0, 0.0], [[1.0, 0.0]], [0.0])
+        with pytest.raises(NotReducedPd, match=r"inertia \(1, 1, 1\)"):
+            validate(p)
+
     def test_square_equality_is_vacuous(self):
         p = QpProblem(np.diag([1.0, -1.0]), [0.0, 0.0], np.eye(2), [1.0, 1.0])
         v = validate(p)
-        assert v.lambda_min is None
-        assert v.Z.shape == (2, 0)
+        assert reduced_min_eig(p) is None
+        assert null_space_and_min_norm(p.E, p.f)[0].shape == (2, 0)
+        # y = (1, 1) is the only feasible point: 0.5 (1 - 1) = 0.
+        assert v.theta_star == pytest.approx(0.0, abs=1e-15)
 
     def test_no_equalities(self):
-        v = validate(QpProblem(np.eye(3), np.zeros(3)))
-        assert v.Z.shape == (3, 3)
-        assert v.lambda_min == pytest.approx(1.0)
+        p = QpProblem(np.eye(3), np.zeros(3))
+        v = validate(p)
+        assert null_space_and_min_norm(p.E, p.f)[0].shape == (3, 3)
+        assert reduced_min_eig(p) == pytest.approx(1.0)
+        assert v.theta_star == 0.0
 
     @pytest.mark.parametrize(
         "n,m,seed",
         [(4, 0, 0), (4, 4, 1), (1, 1, 2), (2, 1, 3), (7, 3, 4), (30, 5, 5), (60, 59, 6)],
     )
     def test_outputs(self, n, m, seed):
-        # One SVD of E gives Z and d; validation adds the reduced eigenvalue.
+        # The test-side SVD of E gives Z and d and the reduced eigenvalue;
+        # validation's theta_star matches a dense KKT solve.
         rng = np.random.default_rng(seed)
         C = random_spd_matrix(rng, n)
         E = random_full_rank(rng, m, n)
         f = rng.standard_normal(m)
         p = QpProblem(C, rng.standard_normal(n), E if m else None, f if m else None)
         v = validate(p)
-        Z, d = v.Z, v.d
+        assert v.theta_star == pytest.approx(reference_theta_star(p), rel=1e-9, abs=1e-12)
+        Z, d = null_space_and_min_norm(p.E, p.f)
         tol = 1e-12 * max(1.0, np.linalg.norm(E, np.inf), np.linalg.norm(f, np.inf))
         assert Z.shape == (n, n - m) and d.shape == (n,)
         assert np.linalg.norm(Z.T @ Z - np.eye(n - m), np.inf) <= 1e-12
@@ -98,11 +133,11 @@ class TestValidate:
         assert np.linalg.norm(Z.T @ d, np.inf) <= 1e-12 * max(1.0, np.linalg.norm(d))
         if n > m:
             expected = np.linalg.eigvalsh(Z.T @ p.C @ Z)[0]
-            assert v.lambda_min == pytest.approx(expected, rel=1e-12)
+            assert reduced_min_eig(p) == pytest.approx(expected, rel=1e-12)
         else:
-            assert v.lambda_min is None
+            assert reduced_min_eig(p) is None
         again = validate(p)
-        assert np.array_equal(again.Z, Z) and np.array_equal(again.d, d)
+        assert again.theta_star == v.theta_star
 
     @pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
     def test_dependent_rows_rejected(self, scale):
