@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -23,6 +23,12 @@ from .errors import AmbiguousStatus, SingularNewton, StepSearchFailed
 # CSV columns of the per-iteration log (the record carries extra fields,
 # serialized only in JSON output).
 LOG_CSV_COLUMNS = ("k", "mu", "rd_norm", "rp_norm", "alpha", "sigma", "nbhd_ratio", "upsilon")
+
+# The safeguard of Salahi, Peng and Terlaky (SIAM J. Optim., 2007): a
+# second-order corrected direction whose positivity boundary or accepted
+# step falls below this fraction is replaced by the pure centered direction
+# on the same factors, which keeps the long-step analysis.
+SAFEGUARD_STEP = 0.1
 
 
 @dataclass
@@ -48,7 +54,6 @@ class IipmConfig:
     max_iter: int = 200
     step_backtrack: float = 0.8
     step_trials: int = 60
-    direction_diagnostics: bool = False
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
@@ -166,25 +171,40 @@ def in_neighborhood(
 
 @dataclass(frozen=True)
 class NewtonDirection:
+    """A Newton direction; ``fallback``, set on a second-order corrected
+    direction, returns the pure centered direction solved on the same
+    factors."""
+
     dx: np.ndarray
     dlam: np.ndarray
     ds: np.ndarray
     rel_residual: float
     sigma: float
     mu_aff: float
+    fallback: Optional[Callable[[], "NewtonDirection"]] = field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def corrected(self) -> bool:
+        return self.fallback is not None
 
 
 def newton_direction(
     hqp: HqpProblem, iterate: IipmIterate, config: IipmConfig
 ) -> NewtonDirection:
-    """Adaptively centered Newton direction at the current iterate.
+    """Mehrotra's predictor-corrector direction at the current iterate.
 
-    One factorization serves two right-hand sides.  The affine-scaling one,
-    (-r_d, -r_p, -Xs), gets a plain backsolve; mu_aff is the duality
-    measure at min(1, positivity boundary) along it, and
-    sigma = config.centering_weight(mu_aff, mu).  The centered one,
-    (-r_d, -r_p, -Xs + sigma mu e), is solved to a backward error of at
-    most linsys.SOLVE_RTOL, recorded for the iteration log.
+    One factorization serves every right-hand side.  The affine-scaling
+    one, (-r_d, -r_p, -Xs), gets a plain backsolve (dx_a, ds_a); mu_aff is
+    the duality measure at min(1, positivity boundary) along it, and
+    sigma = config.centering_weight(mu_aff, mu).  The corrected one,
+    (-r_d, -r_p, -Xs + sigma mu e - dx_a ds_a), adds the second-order term
+    of Mehrotra (1992) and is solved to a backward error of at most
+    linsys.SOLVE_RTOL, recorded for the iteration log.  The direction's
+    ``fallback`` solves the pure centered right-hand side
+    (-r_d, -r_p, -Xs + sigma mu e) on the same factors, with the same
+    guarantee.
     """
     x, s, mu = iterate.x, iterate.s, iterate.mu
     rhs = np.concatenate([-iterate.r_d, -iterate.r_p, -x * s])
@@ -193,16 +213,21 @@ def newton_direction(
     def center(dx, dlam, ds):
         alpha = min(1.0, positivity_boundary(x, s, dx, ds))
         mu_aff = float((x + alpha * dx) @ (s + alpha * ds) / x.size)
-        sigma = config.centering_weight(mu_aff, mu)
-        chosen.update(sigma=sigma, mu_aff=mu_aff)
-        centered = rhs.copy()
-        centered[-x.size:] += sigma * mu
-        return centered
+        chosen.update(sigma=config.centering_weight(mu_aff, mu), mu_aff=mu_aff)
+        corrected = rhs.copy()
+        corrected[-x.size:] += chosen["sigma"] * mu - dx * ds
+        return corrected
 
-    dx, dlam, ds, rel = linsys.solve_newton_system(
+    dx, dlam, ds, rel, solve_same = linsys.solve_newton_system(
         hqp.apply_hessian, hqp.A, x, s, rhs, hqp.newton_data_norm, hqp.newton_split, center
     )
-    return NewtonDirection(dx=dx, dlam=dlam, ds=ds, rel_residual=rel, **chosen)
+
+    def fallback():
+        centered = rhs.copy()
+        centered[-x.size:] += chosen["sigma"] * mu
+        return NewtonDirection(*solve_same(centered), **chosen)
+
+    return NewtonDirection(dx, dlam, ds, rel, **chosen, fallback=fallback)
 
 
 def positivity_boundary(x, s, dx, ds) -> float:
@@ -256,10 +281,12 @@ def step_length(
 class IterationRecord:
     """One row of the run log.
 
-    alpha, sigma and mu_aff (the duality measure the affine-scaling
-    direction reaches, which sets sigma) describe the step chosen *at* this
-    iterate (NaN on the terminal row); upsilon is the accumulated product
-    of (1 - alpha) up to this iterate, which must track the residual
+    alpha, sigma, mu_aff (the duality measure the affine-scaling
+    direction reaches, which sets sigma) and corrected (whether the step
+    took the second-order corrected direction or fell back to the pure
+    centered one) describe the step chosen *at* this iterate (NaN, or None,
+    on the terminal row); upsilon is the accumulated product of
+    (1 - alpha) up to this iterate, which must track the residual
     contraction exactly.
     """
 
@@ -276,10 +303,8 @@ class IterationRecord:
     decay_rel_err: float
     decay_abs_err: float
     newton_rel_resid: float
-    xs_norm1: float
     iterate_scale: float
-    scaled_dx_norm: Optional[float] = None
-    scaled_ds_norm: Optional[float] = None
+    corrected: Optional[bool] = None
 
     def as_dict(self) -> dict:
         out = {
@@ -296,12 +321,9 @@ class IterationRecord:
             "decay_rel_err": self.decay_rel_err,
             "decay_abs_err": self.decay_abs_err,
             "newton_rel_resid": self.newton_rel_resid,
-            "xs_norm1": self.xs_norm1,
             "iterate_scale": self.iterate_scale,
+            "corrected": self.corrected,
         }
-        if self.scaled_dx_norm is not None:
-            out["scaled_dx_norm"] = self.scaled_dx_norm
-            out["scaled_ds_norm"] = self.scaled_ds_norm
         # None for non-finite entries keeps the JSON document strict.
         return {
             k: (None if isinstance(v, float) and not np.isfinite(v) else v)
@@ -407,7 +429,6 @@ def solve(
             decay_rel_err=decay_err,
             decay_abs_err=decay_abs,
             newton_rel_resid=float("nan"),
-            xs_norm1=float(np.sum(np.abs(iterate.x)) + np.sum(np.abs(iterate.s))),
             iterate_scale=float(
                 1.0
                 + max(
@@ -432,21 +453,27 @@ def solve(
 
         try:
             direction = newton_direction(hqp, iterate, config)
+            # The safeguard: a corrected step that is short, or that the
+            # step search refuses, is replaced by the fallback's step.  The
+            # accepted step never exceeds the positivity boundary, so a
+            # short boundary falls back too.
+            try:
+                step = step_length(hqp, iterate, direction, config, r0_norm, mu0)
+            except StepSearchFailed:
+                step = None
+            if step is None or step[0] < SAFEGUARD_STEP:
+                direction = direction.fallback()
+                step = None
             record.newton_rel_resid = direction.rel_residual
             record.sigma = direction.sigma
             record.mu_aff = direction.mu_aff
-            if config.direction_diagnostics:
-                d_scale = np.sqrt(iterate.x / iterate.s)
-                denom = N * iterate.mu
-                record.scaled_dx_norm = float(
-                    np.linalg.norm(direction.dx / d_scale) / denom
-                )
-                record.scaled_ds_norm = float(
-                    np.linalg.norm(direction.ds * d_scale) / denom
-                )
-            alpha, new_iterate, nbhd = step_length(
-                hqp, iterate, direction, config, r0_norm, mu0
-            )
+            record.corrected = direction.corrected
+            if step is None:
+                step = step_length(hqp, iterate, direction, config, r0_norm, mu0)
+            alpha, new_iterate, nbhd = step
+            # A corrected direction's fallback holds this step's factors;
+            # release them before the next step builds its own.
+            del direction
         except (SingularNewton, StepSearchFailed) as exc:
             if ambiguous is not None:
                 raise unresolved(f"iteration stopped at k={k}: {exc}") from exc
@@ -487,36 +514,3 @@ def _final_diagnostics(outcome, hqp, iterate, iterations, zeta, converged):
         }
     )
 
-
-def check_iterate_norm_bound(
-    log: IterationLog,
-    zeta: float,
-    beta: float,
-    dim: int,
-    x_final: np.ndarray,
-    s_final: np.ndarray,
-) -> dict:
-    """Post-hoc diagnostic: zeta * upsilon_k * ||(x_k, s_k)||_1 <= 4 beta dim mu_k.
-
-    Only meaningful when the start radius dominated some optimal pair,
-    zeta >= ||(x*, s*)||; the converged point stands in for that pair.
-    Returns the per-iteration slack and any violations instead of
-    asserting.
-    """
-    star_norm = float(np.sqrt(np.sum(x_final**2) + np.sum(s_final**2)))
-    applicable = zeta >= star_norm
-    violations = []
-    slack = []
-    for r in log.rows:
-        lhs = zeta * r.upsilon * r.xs_norm1
-        rhs = 4.0 * beta * dim * r.mu
-        slack.append(rhs - lhs)
-        if applicable and lhs > rhs * (1.0 + 1e-12):
-            violations.append(r.k)
-    return {
-        "applicable": applicable,
-        "zeta": zeta,
-        "final_pair_norm": star_norm,
-        "slack": slack,
-        "violations": violations,
-    }

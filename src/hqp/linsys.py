@@ -299,7 +299,7 @@ def solve_newton_system(
     data_norm: float,
     split: DiagonalSplit,
     center: Optional[Callable] = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float, Callable]:
     """Solve the three-block interior-point step system.
 
     Block form, with X = Diag(x) and S = Diag(s):
@@ -317,11 +317,13 @@ def solve_newton_system(
     ``center``, ``rhs`` is a predictor right-hand side: its plain solve
     (dx, dlam, ds), unrefined and unchecked, goes to ``center``, which
     returns the right-hand side to solve next on the same factors.  The
-    accuracy guarantee, enforced on the full three-block system for the
-    last right-hand side, is a normwise backward error of at most
-    SOLVE_RTOL; refinement runs through the one factorization, and
-    SingularNewton is raised when it stalls above the tolerance.  Returns
-    (dx, dlam, ds, backward error).  ``data_norm`` is passed on to
+    accuracy guarantee, enforced on the full three-block system for that
+    right-hand side, is a normwise backward error of at most SOLVE_RTOL;
+    refinement runs through the one factorization, and SingularNewton is
+    raised when it stalls above the tolerance.  Returns (dx, dlam, ds,
+    backward error, solve); ``solve(rhs)`` returns the first four for
+    another right-hand side, on the same factors and with the same
+    guarantee.  ``data_norm`` is passed on to
     :func:`newton_backward_error`.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -343,33 +345,32 @@ def solve_newton_system(
         ds = (t3 - s * dx) / x
         return dx, dlam, ds
 
+    def refined(rhs):
+        rhs = np.asarray(rhs, dtype=float)
+        if not rhs.any():
+            return np.zeros(N), np.zeros(m), np.zeros(N), 0.0
+        r1, r2, r3 = rhs[:N], rhs[N:N + m], rhs[N + m:]
+        dx, dlam, ds = eliminate(r1, r2, r3)
+        best = None
+        best_eta = np.inf
+        # Refinement progress is non-monotone near the boundary, so keep the
+        # best solution seen.
+        for _ in range(MAX_REFINE_STEPS + 1):
+            eta = newton_backward_error(apply_q, A, x, s, rhs, dx, dlam, ds, data_norm)
+            if np.isfinite(eta) and eta < best_eta:
+                best, best_eta = (dx, dlam, ds), eta
+            if best_eta <= SOLVE_RTOL:
+                return (*best, best_eta)
+            e1 = r1 - (apply_q(dx) + A.T @ dlam - ds)
+            e2 = r2 - A @ dx
+            e3 = r3 - (s * dx + x * ds)
+            cx, clam, cs = eliminate(e1, e2, e3)
+            dx, dlam, ds = dx + cx, dlam + clam, ds + cs
+        raise SingularNewton(
+            f"Newton backsolve stalled at backward error {best_eta:.3e} above "
+            f"{SOLVE_RTOL:.1e} after {MAX_REFINE_STEPS} refinement steps"
+        )
+
     if center is not None:
-        rhs = np.asarray(center(*eliminate(rhs[:N], rhs[N:N + m], rhs[N + m:])), dtype=float)
-    if not rhs.any():
-        return np.zeros(N), np.zeros(m), np.zeros(N), 0.0
-    r1, r2, r3 = rhs[:N], rhs[N:N + m], rhs[N + m:]
-
-    def block_residual(dx, dlam, ds):
-        e1 = r1 - (apply_q(dx) + A.T @ dlam - ds)
-        e2 = r2 - A @ dx
-        e3 = r3 - (s * dx + x * ds)
-        return e1, e2, e3
-
-    dx, dlam, ds = eliminate(r1, r2, r3)
-    best = None
-    best_eta = np.inf
-    # Refinement progress is non-monotone near the boundary, so keep the
-    # best solution seen.
-    for _ in range(MAX_REFINE_STEPS + 1):
-        eta = newton_backward_error(apply_q, A, x, s, rhs, dx, dlam, ds, data_norm)
-        if np.isfinite(eta) and eta < best_eta:
-            best, best_eta = (dx, dlam, ds), eta
-        if best_eta <= SOLVE_RTOL:
-            return (*best, best_eta)
-        e1, e2, e3 = block_residual(dx, dlam, ds)
-        cx, clam, cs = eliminate(e1, e2, e3)
-        dx, dlam, ds = dx + cx, dlam + clam, ds + cs
-    raise SingularNewton(
-        f"Newton backsolve stalled at backward error {best_eta:.3e} above "
-        f"{SOLVE_RTOL:.1e} after {MAX_REFINE_STEPS} refinement steps"
-    )
+        rhs = center(*eliminate(rhs[:N], rhs[N:N + m], rhs[N + m:]))
+    return (*refined(rhs), refined)

@@ -310,14 +310,6 @@ class StandardFormMap:
     def original_objective(self, standard_value: float) -> float:
         return float(standard_value + self.objective_offset)
 
-    def standard_variables(self, y: np.ndarray, general: GeneralQp) -> np.ndarray:
-        """Embed a bound- and inequality-feasible original point."""
-        y = np.asarray(y, dtype=float)
-        z = self.scale * (y - self.offset)
-        w = self.span - z[self.two_sided]
-        s = (general.h - general.G @ y) if self.n_ineq else np.zeros(0)
-        return np.concatenate([z, w, s])
-
 
 def to_standard_form(general: GeneralQp) -> tuple[QpProblem, StandardFormMap]:
     """Rewrite a box-and-inequality QP in standard form.

@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 
 from hqp import GeneralQp, QpKktPoint, QpProblem, RankDeficient, to_standard_form
-from hqp import linsys
+from hqp import iipm, linsys
 
 
 def full_newton_matrix(Q, A, x, s):
@@ -309,4 +309,65 @@ def paper_pd_bounds(problem, alpha=None):
         "exact_Z": float(np.sum((Z.T @ g) ** 2)) / lam + base,
         "norm_relaxed": float(g @ g) / lam + base,
         "alpha": None if alpha is None else float(g @ g) / alpha + base,
+    }
+
+
+def standard_variables(mapping, y, general):
+    """The standard-form point of ``to_standard_form``'s ``mapping`` that
+    corresponds to a bound- and inequality-feasible original point y of
+    ``general``."""
+    y = np.asarray(y, dtype=float)
+    z = mapping.scale * (y - mapping.offset)
+    w = mapping.span - z[mapping.two_sided]
+    s = (general.h - general.G @ y) if mapping.n_ineq else np.zeros(0)
+    return np.concatenate([z, w, s])
+
+
+def record_steps(monkeypatch):
+    """Record the steps of the next solves through ``iipm.step_length``.
+
+    Returns a list that gains (iterate, direction, accepted iterate) per
+    step.  A step searched twice, a corrected direction and then its
+    fallback, keeps its last search.  The iterates of the log rows of one
+    solve are ``[step[0] for step in steps] + [steps[-1][2]]``.
+    """
+    steps = []
+    raw = iipm.step_length
+
+    def recording(hqp, iterate, direction, *args):
+        alpha, accepted, nbhd = raw(hqp, iterate, direction, *args)
+        if steps and steps[-1][0] is iterate:
+            steps.pop()
+        steps.append((iterate, direction, accepted))
+        return alpha, accepted, nbhd
+
+    monkeypatch.setattr(iipm, "step_length", recording)
+    return steps
+
+
+def check_iterate_norm_bound(log, iterates, zeta, beta, dim, x_final, s_final):
+    """Post-hoc diagnostic: zeta * upsilon_k * ||(x_k, s_k)||_1 <= 4 beta dim mu_k,
+    with ``iterates`` the iterate of each row of ``log``.
+
+    Only meaningful when the start radius dominated some optimal pair,
+    zeta >= ||(x*, s*)||; the converged point stands in for that pair.
+    Returns the per-iteration slack and any violations instead of
+    asserting.
+    """
+    star_norm = float(np.sqrt(np.sum(x_final**2) + np.sum(s_final**2)))
+    applicable = zeta >= star_norm
+    violations = []
+    slack = []
+    for r, it in zip(log.rows, iterates, strict=True):
+        lhs = zeta * r.upsilon * float(np.sum(np.abs(it.x)) + np.sum(np.abs(it.s)))
+        rhs = 4.0 * beta * dim * r.mu
+        slack.append(rhs - lhs)
+        if applicable and lhs > rhs * (1.0 + 1e-12):
+            violations.append(r.k)
+    return {
+        "applicable": applicable,
+        "zeta": zeta,
+        "final_pair_norm": star_norm,
+        "slack": slack,
+        "violations": violations,
     }

@@ -1,10 +1,10 @@
 """Acceptance suite: one test per criterion, one printed line each.
 
-Solver configs per criterion: the single-row families run at the shipped
-defaults (tol_mu = 1e-8); recovered-point quality criteria (2 and 3) run
-at tol_mu = 1e-11 because the complementarity of the rescaled point
-scales with the final duality measure (a near-degenerate pair behaves
-like sqrt(mu) after rescaling).  The per-iteration decay check
+Solver configs per criterion: every criterion runs at the shipped
+defaults (tol_mu = 1e-8) except criterion 2, whose recovered-point quality
+check runs at tol_mu = 1e-11 because the complementarity of the rescaled
+point scales with the final duality measure (a near-degenerate pair
+behaves like sqrt(mu) after rescaling).  The per-iteration decay check
 carries a finite-precision floor of 1e-13 * data scale * iterate scale
 (~450 machine epsilons): on infeasible instances the dual multipliers
 grow along the certificate ray, and once residuals shrink below that
@@ -92,7 +92,7 @@ def feasible_tight():
 
 @pytest.fixture(scope="module")
 def oracle_agreement_runs():
-    config = IipmConfig(tol_mu=1e-11)
+    config = IipmConfig()
     start = time.perf_counter()
     records = []
     for seed in range(100):

@@ -110,16 +110,18 @@ class TestSolve:
         assert run_cli("solve", str(path), "--max-iter", "2") == 3
 
     def test_ambiguous_error_keeps_evidence(self, workdir):
-        # feasible_sv n=10 seed 12 first meets mu <= tol_mu at k=16, where
-        # neither recovery route is certified yet (the run solves at k=18);
-        # an iteration limit there leaves the status ambiguous.
+        # feasible_sv n=10 seed 12 meets mu <= tol_mu at k=11 and k=12
+        # with neither recovery route certified (the run solves at k=13);
+        # an iteration limit at k=12 leaves the status ambiguous.
         path = gen(workdir, "feasible_sv", 10, seed=12)
         out = workdir / "sol.json"
-        assert run_cli("solve", str(path), "--output", str(out), "--max-iter", "16") == 5
+        assert run_cli("solve", str(path), "--output", str(out), "--max-iter", "12") == 5
         doc = json.loads(out.read_text())
         assert doc["status"] == "error"
-        assert "iteration limit 16" in doc["message"]
-        assert [row["k"] for row in doc["iterations"]] == list(range(17))
+        assert "iteration limit 12" in doc["message"]
+        assert [row["k"] for row in doc["iterations"]] == list(range(13))
+        assert all(row["corrected"] in (True, False) for row in doc["iterations"][:-1])
+        assert doc["iterations"][-1]["corrected"] is None
         recovery = doc["residuals"]["recovery"]
         assert recovery["kkt_scaled"] > recovery["tol"]
         assert recovery["certificate_scaled"] > recovery["tol"]

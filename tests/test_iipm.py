@@ -27,7 +27,6 @@ from hqp.embedding import manual_theta_report
 from hqp.iipm import (
     LOG_CSV_COLUMNS,
     automatic_zeta,
-    check_iterate_norm_bound,
     in_neighborhood,
     newton_direction,
     positivity_boundary,
@@ -36,10 +35,12 @@ from hqp.iipm import (
     step_length,
 )
 from _support import (
+    check_iterate_norm_bound,
     full_newton_matrix,
     lifted_hessian,
     lifted_nullspace_basis,
     planted_kkt_instance,
+    record_steps,
     structured_problem,
 )
 
@@ -170,39 +171,47 @@ class TestNeighborhood:
 
 class TestNewtonDirection:
     def test_centered_feasible_point_scales_affine_direction(self):
-        # At a feasible, exactly centered point (Xs = mu e) the centered
-        # right-hand side is (1 - sigma) times the affine one, so the two
-        # directions differ by that factor, and mu_aff follows from the
-        # affine direction in closed form.
+        # At a feasible, exactly centered point (Xs = mu e) the corrected
+        # right-hand side is (1 - sigma) times the affine one minus the
+        # second-order term dx_aff ds_aff, so the direction is (1 - sigma)
+        # times the affine one plus the solve of that term; mu_aff follows
+        # from the affine direction in closed form.
         h = one_var_hqp(theta=2.0)
         x = np.array([2.0, 2.0])
         s = h.apply_hessian(x) + h.q  # lam = 0 keeps the dual residual zero
         it = IipmIterate.compute(h, x, np.zeros(1), s)
         cfg = IipmConfig()
         d = newton_direction(h, it, cfg)
+        assert d.corrected
         assert cfg.sigma_min <= d.sigma <= cfg.sigma_max
         assert d.sigma == cfg.centering_weight(d.mu_aff, it.mu)
-        aff = np.linalg.solve(
-            full_newton_matrix(lifted_hessian(h), h.A, x, s),
-            np.concatenate([np.zeros(3), -x * s]),
-        )
-        assert np.allclose(
-            np.concatenate([d.dx, d.dlam, d.ds]), (1.0 - d.sigma) * aff, atol=1e-12
-        )
+        M = full_newton_matrix(lifted_hessian(h), h.A, x, s)
+        aff = np.linalg.solve(M, np.concatenate([np.zeros(3), -x * s]))
         dx_aff, ds_aff = aff[:2], aff[3:]
+        second = np.linalg.solve(M, np.concatenate([np.zeros(3), -dx_aff * ds_aff]))
+        assert np.allclose(
+            np.concatenate([d.dx, d.dlam, d.ds]), (1.0 - d.sigma) * aff + second, atol=1e-12
+        )
         alpha = min(1.0, positivity_boundary(x, s, dx_aff, ds_aff))
         expected = (1.0 - alpha) * it.mu + alpha**2 * (dx_aff @ ds_aff) / 2.0
         assert d.mu_aff == pytest.approx(expected, rel=1e-12, abs=1e-14 * it.mu)
 
     def test_block_identities(self):
+        # The third block row carries Mehrotra's second-order term, with
+        # the affine direction from a dense solve of the three-block system.
         h = one_var_hqp()
         cfg = IipmConfig()
         it, _ = make_initial(h, cfg)
         d = newton_direction(h, it, cfg)
+        aff = np.linalg.solve(
+            full_newton_matrix(lifted_hessian(h), h.A, it.x, it.s),
+            np.concatenate([-it.r_d, -it.r_p, -it.x * it.s]),
+        )
+        dx_aff, ds_aff = aff[: h.dim], aff[h.dim + h.m :]
         assert np.allclose(h.A @ d.dx, -it.r_p, atol=1e-10)
         assert np.allclose(
             it.s * d.dx + it.x * d.ds,
-            -it.x * it.s + d.sigma * it.mu,
+            -it.x * it.s + d.sigma * it.mu - dx_aff * ds_aff,
             atol=1e-10 * max(1.0, it.mu),
         )
         assert d.rel_residual <= 1e-10
@@ -358,6 +367,19 @@ class TestSolve:
             counts["backward_errors"] += 1
             return raw_backward_error(*args, **kwargs)
 
+        raw_solve = hqp.linsys.solve_newton_system
+        solved = {}
+
+        def recording_solve(*args):
+            # The right-hand side that the center callback hands back.
+            *head, center = args
+
+            def recording_center(*affine):
+                solved["rhs"] = center(*affine)
+                return solved["rhs"]
+
+            return raw_solve(*head, recording_center)
+
         raw_direction = hqp.iipm.newton_direction
 
         def counting_direction(hqp_problem, iterate, config):
@@ -375,29 +397,100 @@ class TestSolve:
             dx_aff, ds_aff = aff[:N], aff[N + m :]
             alpha = min(1.0, positivity_boundary(x, s, dx_aff, ds_aff))
             mu_aff = (x + alpha * dx_aff) @ (s + alpha * ds_aff) / N
-            rhs = np.concatenate([-iterate.r_d, -iterate.r_p, -x * s + d.sigma * mu])
+            # The corrected right-hand side from the dense affine direction.
+            # The solver's comes from its own plain backsolve, so the two
+            # agree to that backsolve's accuracy, and the backward error is
+            # recomputed against the solver's.
+            oracle_rhs = np.concatenate(
+                [-iterate.r_d, -iterate.r_p, -x * s + d.sigma * mu - dx_aff * ds_aff]
+            )
+            rhs = solved.pop("rhs")
             # The dense Q and its norm, recomputed from scratch.
             data_norm = hqp.linsys.newton_data_norm(np.linalg.norm(Q, np.inf), A)
             eta = raw_backward_error(lambda v: Q @ v, A, x, s, rhs, d.dx, d.dlam, d.ds, data_norm)
-            per_step.append((dict(counts), mu, mu_aff, eta))
+            per_step.append((dict(counts), mu, mu_aff, eta, rhs, oracle_rhs))
             return d
 
         monkeypatch.setattr(hqp.linsys, "AugmentedFactorization", CountingFactorization)
         monkeypatch.setattr(hqp.linsys, "newton_backward_error", counting_backward_error)
+        monkeypatch.setattr(hqp.linsys, "solve_newton_system", recording_solve)
         monkeypatch.setattr(hqp.iipm, "newton_direction", counting_direction)
         validated = validate(generate(spec))
         cfg = IipmConfig()
         _, log = solve(embed(validated, compute_theta(validated)), cfg)
         assert len(per_step) == len(log) - 1 > 0
-        for row, (step, mu, mu_aff, eta) in zip(log.rows, per_step):
+        for row, (step, mu, mu_aff, eta, rhs, oracle_rhs) in zip(log.rows, per_step):
             assert step["factorizations"] == 1
             assert step["backward_errors"] == 1
-            # The predictor's plain backsolve, then the centered solve.
+            # The predictor's plain backsolve, then the corrected solve.
             assert step["backsolves"] == 2
+            assert row.corrected is True
             assert cfg.sigma_min <= row.sigma <= cfg.sigma_max
             assert row.mu_aff == pytest.approx(mu_aff, rel=1e-9, abs=1e-9 * mu)
             assert row.sigma == pytest.approx(cfg.centering_weight(mu_aff, mu), rel=1e-9)
+            scale = np.linalg.norm(oracle_rhs, np.inf)
+            assert np.linalg.norm(rhs - oracle_rhs, np.inf) <= 1e-12 * scale
             assert row.newton_rel_resid == pytest.approx(eta, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, status",
+        [("feasible_sv", SolveStatus.OPTIMAL), ("infeasible_sv", SolveStatus.INFEASIBLE)],
+    )
+    def test_safeguard_falls_back_on_same_factors(self, kind, status, monkeypatch):
+        # With the threshold above every step length, each corrected step
+        # counts as short and falls back to the pure centered direction.
+        import hqp.iipm
+        import hqp.linsys
+
+        factorizations = []
+
+        class CountingFactorization(hqp.linsys.AugmentedFactorization):
+            def __init__(self, *args, **kwargs):
+                factorizations[-1] += 1
+                super().__init__(*args, **kwargs)
+
+        raw_direction = hqp.iipm.newton_direction
+
+        def counting_direction(*args):
+            factorizations.append(0)
+            return raw_direction(*args)
+
+        validated = validate(generate(InstanceSpec(InstanceKind(kind), 10, seed=0)))
+        h = embed(validated, compute_theta(validated))
+        monkeypatch.setattr(hqp.iipm, "SAFEGUARD_STEP", np.inf)
+        monkeypatch.setattr(hqp.linsys, "AugmentedFactorization", CountingFactorization)
+        monkeypatch.setattr(hqp.iipm, "newton_direction", counting_direction)
+        steps = record_steps(monkeypatch)
+        outcome, log = solve(h)
+        assert outcome.status is status
+        stepped = log.rows[:-1]
+        assert len(steps) == len(factorizations) == len(stepped) > 0
+        assert factorizations == [1] * len(stepped)
+        Q = lifted_hessian(h)
+        data_norm = hqp.linsys.newton_data_norm(np.linalg.norm(Q, np.inf), h.A)
+        assert log.rows[-1].as_dict()["corrected"] is None
+        for row, (it, d, _) in zip(stepped, steps):
+            assert row.corrected is False and not d.corrected
+            assert row.as_dict()["corrected"] is False
+            assert row.newton_rel_resid == d.rel_residual <= 1e-10
+            # The logged backward error, recomputed with the dense Q against
+            # the pure centered right-hand side.
+            centered = np.concatenate([-it.r_d, -it.r_p, -it.x * it.s + row.sigma * it.mu])
+            eta = hqp.linsys.newton_backward_error(
+                lambda v: Q @ v, h.A, it.x, it.s, centered, d.dx, d.dlam, d.ds, data_norm
+            )
+            assert row.newton_rel_resid == pytest.approx(eta, rel=1e-12)
+            # The centered direction as computed without the corrector: a
+            # fresh factorization whose center callback returns that
+            # right-hand side.
+            affine = np.concatenate([-it.r_d, -it.r_p, -it.x * it.s])
+            plain = hqp.linsys.solve_newton_system(
+                h.apply_hessian, h.A, it.x, it.s, affine, h.newton_data_norm,
+                h.newton_split, lambda *_: centered,
+            )
+            expected = np.concatenate(plain[:3])
+            gap = np.linalg.norm(np.concatenate([d.dx, d.dlam, d.ds]) - expected, np.inf)
+            assert gap <= 1e-12 * np.linalg.norm(expected, np.inf)
 
     @pytest.mark.parametrize(
         "kind, n, m, seed, cost_scale",
@@ -512,8 +605,14 @@ class TestNullspaceSelfConsistency:
             assert rhs >= -1e-10 * (x_bar @ x_bar)
 
 
+def row_iterates(steps):
+    """The iterate of each log row of one solve, from record_steps."""
+    return [step[0] for step in steps] + [steps[-1][2]]
+
+
 class TestIterateNormBoundDiagnostic:
-    def test_bound_holds_with_dominating_zeta(self):
+    def test_bound_holds_with_dominating_zeta(self, monkeypatch):
+        steps = record_steps(monkeypatch)
         h = one_var_hqp(theta=2.0)
         cfg = IipmConfig(zeta=10.0)
         outcome, log = solve(h, cfg)
@@ -521,23 +620,36 @@ class TestIterateNormBoundDiagnostic:
         tau = outcome.recovery.tau_hat
         x_final = np.concatenate([outcome.y, [1.0]]) * tau
         s_final = np.concatenate([outcome.xi * tau, [outcome.recovery.omega_hat]])
-        report = check_iterate_norm_bound(log, 10.0, cfg.beta, h.dim, x_final, s_final)
+        report = check_iterate_norm_bound(
+            log, row_iterates(steps), 10.0, cfg.beta, h.dim, x_final, s_final
+        )
         assert report["applicable"]
         assert report["violations"] == []
 
-    def test_not_applicable_with_tiny_zeta(self):
+    def test_not_applicable_with_tiny_zeta(self, monkeypatch):
+        steps = record_steps(monkeypatch)
         h = one_var_hqp(theta=2.0)
         _, log = solve(h)
         report = check_iterate_norm_bound(
-            log, 1e-6, 2.0, h.dim, np.ones(h.dim), np.ones(h.dim)
+            log, row_iterates(steps), 1e-6, 2.0, h.dim, np.ones(h.dim), np.ones(h.dim)
         )
         assert not report["applicable"]
 
 
 class TestDirectionDiagnostics:
-    def test_scaled_direction_norms_logged(self):
+    def test_scaled_direction_norms_logged(self, monkeypatch):
+        # ||D^-1 dx|| / (N mu) and ||D ds|| / (N mu), D = (X/S)^(1/2), of
+        # every step taken, from the recorded iterates and directions.
+        steps = record_steps(monkeypatch)
         h = one_var_hqp(theta=2.0)
-        _, log = solve(h, IipmConfig(direction_diagnostics=True))
+        _, log = solve(h)
         stepped = [r for r in log.rows if np.isfinite(r.alpha)]
         assert stepped
-        assert all(r.scaled_dx_norm is not None for r in stepped)
+        assert len(steps) == len(stepped)
+        for row, (iterate, direction, _) in zip(stepped, steps):
+            assert iterate.mu == row.mu
+            d_scale = np.sqrt(iterate.x / iterate.s)
+            denom = h.dim * row.mu
+            scaled_dx_norm = np.linalg.norm(direction.dx / d_scale) / denom
+            scaled_ds_norm = np.linalg.norm(direction.ds * d_scale) / denom
+            assert np.isfinite(scaled_dx_norm) and np.isfinite(scaled_ds_norm)

@@ -225,7 +225,7 @@ class TestNewtonSystem:
         Q = np.eye(2)
         A = np.array([[1.0, -1.0]])
         apply_q, data_norm, split = dense_newton(Q, A)
-        dx, dlam, ds, eta = solve_newton_system(
+        dx, dlam, ds, eta, _ = solve_newton_system(
             apply_q, A, np.ones(2), np.ones(2), np.zeros(5), data_norm, split
         )
         assert not dx.any() and not dlam.any() and not ds.any()
@@ -245,7 +245,7 @@ class TestNewtonSystem:
         mu = x @ s / 2.0
         rhs = np.concatenate([np.zeros(2), np.zeros(1), -x * s + 1.0 * mu * np.ones(2)])
         apply_q, data_norm, split = dense_newton(Q, A)
-        dx, dlam, ds, _ = solve_newton_system(apply_q, A, x, s, rhs, data_norm, split)
+        dx, dlam, ds, _, _ = solve_newton_system(apply_q, A, x, s, rhs, data_norm, split)
         assert np.linalg.norm(np.concatenate([dx, dlam, ds]), np.inf) <= 1e-12
 
     def test_matches_dense_oracle(self):
@@ -259,13 +259,22 @@ class TestNewtonSystem:
             s = rng.random(n) + 0.1
             rhs = rng.standard_normal(2 * n + m)
             apply_q, data_norm, split = dense_newton(Q, A)
-            dx, dlam, ds, returned_eta = solve_newton_system(apply_q, A, x, s, rhs, data_norm, split)
-            oracle = np.linalg.solve(full_newton_matrix(Q, A, x, s), rhs)
-            sol = np.concatenate([dx, dlam, ds])
-            assert np.allclose(sol, oracle, rtol=1e-9, atol=1e-11)
-            eta = newton_backward_error(apply_q, A, x, s, rhs, dx, dlam, ds, data_norm)
-            assert eta <= SOLVE_RTOL
-            assert returned_eta == eta
+            dx, dlam, ds, returned_eta, solve_same = solve_newton_system(
+                apply_q, A, x, s, rhs, data_norm, split
+            )
+            # The returned solve answers a second right-hand side on the
+            # same factors with the same guarantee.
+            rhs2 = rng.standard_normal(2 * n + m)
+            for b, (dx, dlam, ds, returned_eta) in (
+                (rhs, (dx, dlam, ds, returned_eta)),
+                (rhs2, solve_same(rhs2)),
+            ):
+                oracle = np.linalg.solve(full_newton_matrix(Q, A, x, s), b)
+                sol = np.concatenate([dx, dlam, ds])
+                assert np.allclose(sol, oracle, rtol=1e-9, atol=1e-11)
+                eta = newton_backward_error(apply_q, A, x, s, b, dx, dlam, ds, data_norm)
+                assert eta <= SOLVE_RTOL
+                assert returned_eta == eta
 
     @pytest.mark.parametrize(
         "spec",
@@ -295,7 +304,7 @@ class TestNewtonSystem:
             apply_q, data_norm, dense_split = dense_newton(lifted_hessian(hqp), hqp.A)
             assert data_norm == pytest.approx(hqp.newton_data_norm, rel=1e-14)
             for split in (dense_split, hqp.newton_split):
-                dx, dlam, ds, eta = solve_newton_system(
+                dx, dlam, ds, eta, _ = solve_newton_system(
                     hqp.apply_hessian, hqp.A, x, s, rhs, hqp.newton_data_norm, split
                 )
                 assert eta <= SOLVE_RTOL
@@ -356,7 +365,7 @@ class TestNewtonSystem:
             ratio = 10.0 ** rng.uniform(-10, 6, N)
             x, s = np.sqrt(prod * ratio), np.sqrt(prod / ratio)
             rhs = rng.standard_normal(2 * N + hqp.m)
-            dx, dlam, ds, eta = solve_newton_system(
+            dx, dlam, ds, eta, _ = solve_newton_system(
                 hqp.apply_hessian, hqp.A, x, s, rhs, hqp.newton_data_norm, hqp.newton_split
             )
             assert eta <= SOLVE_RTOL
