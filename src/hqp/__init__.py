@@ -36,7 +36,6 @@ from .instances import (
     OracleResult,
     active_set_oracle,
     generate,
-    run_experiment,
 )
 from .pipeline import SolveResult, solve_qp
 from .qp import (
@@ -88,7 +87,6 @@ __all__ = [
     "generate",
     "qp_kkt_residuals",
     "recover",
-    "run_experiment",
     "solve_qp",
     "to_standard_form",
     "validate",

@@ -1,7 +1,7 @@
 """Command line front end.
 
-Subcommands: ``solve`` a problem file, ``gen`` a random instance, ``check``
-a solution document against its problem, ``experiment`` for family sweeps.
+Subcommands: ``solve`` a problem file, ``gen`` a random instance, and
+``check`` a solution document against its problem.
 
 Solve exit codes: 0 optimal, 2 infeasible, 3 iteration limit, 4 bad input
 or failed validation, 5 numerical failure.  Check: 0 pass, 1 fail, 4 file
@@ -12,6 +12,7 @@ or shape errors, including a vector entry that is not a finite number
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -26,7 +27,7 @@ from .errors import (
     StepSearchFailed,
 )
 from .iipm import IipmConfig
-from .instances import InstanceKind, InstanceSpec, generate, run_experiment
+from .instances import InstanceKind, InstanceSpec, generate
 from .pipeline import solve_qp
 from .qp import (
     InfeasCertificate,
@@ -43,7 +44,10 @@ EXIT_INPUT = 4
 EXIT_NUMERICAL = 5
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every
+    ``main`` call: ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="hqp",
         description="Convex QP solver with built-in infeasibility certificates "
@@ -78,13 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("problem")
     p_check.add_argument("solution")
     p_check.add_argument("--tol", type=float, default=1e-6)
-
-    p_exp = sub.add_parser("experiment", help="sweep instance families")
-    p_exp.add_argument("--kinds", default="infeasible_sv,feasible_sv")
-    p_exp.add_argument("--sizes", default="10,25,50")
-    p_exp.add_argument("--reps", type=int, default=10)
-    p_exp.add_argument("--m", type=int, default=1)
-    p_exp.add_argument("--out", default=None, help="write the report CSV here")
     return parser
 
 
@@ -251,29 +248,13 @@ def _cmd_check(args) -> int:
     return 0 if passed else EXIT_CHECK_FAIL
 
 
-def _cmd_experiment(args) -> int:
-    try:
-        kinds = [InstanceKind(k.strip()) for k in args.kinds.split(",") if k.strip()]
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    report = run_experiment(kinds, sizes, args.reps, m=args.m)
-    if args.out:
-        report.to_csv(args.out)
-    print(report.summary())
-    return 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "solve":
         return _cmd_solve(args)
     if args.command == "gen":
         return _cmd_gen(args)
-    if args.command == "check":
-        return _cmd_check(args)
-    return _cmd_experiment(args)
+    return _cmd_check(args)
 
 
 if __name__ == "__main__":

@@ -31,6 +31,13 @@ The vectors ``c`` and ``f`` are checked before the matrices, so a wrong
 ``min_eig_lower_bound`` is accepted for older files and must be a positive
 number, but it is neither stored nor written back: theta is always chosen
 from the exact reduced-Hessian eigenvalue.
+
+The writer (``problem_to_dict``, hence ``dumps_problem``, ``save_problem``
+and ``hqp gen``) emits a matrix as COO, its nonzeros in row-major order,
+when fewer than one entry in three is nonzero, and dense otherwise.  A COO
+entry's two indices take about as much text as two dense zeros, so COO is
+the shorter text below that density.  An empty matrix (m = 0) and one that
+holds a -0.0 are written dense, so every written file loads back bitwise.
 """
 
 from __future__ import annotations
@@ -167,13 +174,29 @@ def problem_from_dict(doc: dict) -> QpProblem:
         raise ProblemFormatError(f"problem data rejected: {exc}") from exc
 
 
+def _matrix_to_dict(a: np.ndarray) -> dict:
+    """``a`` as COO when fewer than one entry in three is nonzero, else
+    dense.  The reader sums COO entries into +0.0, which cannot give back
+    a -0.0, so a matrix holding one is written dense."""
+    nonzero = a != 0.0
+    if 3 * np.count_nonzero(nonzero) < a.size and not np.signbit(a[~nonzero]).any():
+        rows, cols = np.nonzero(nonzero)
+        return {
+            "format": "coo",
+            "rows": rows.tolist(),
+            "cols": cols.tolist(),
+            "vals": a[nonzero].tolist(),
+        }
+    return {"format": "dense", "data": a.ravel().tolist()}
+
+
 def problem_to_dict(problem: QpProblem) -> dict:
     return {
         "n": problem.n,
         "m": problem.m,
-        "C": {"format": "dense", "data": problem.C.ravel().tolist()},
+        "C": _matrix_to_dict(problem.C),
         "c": problem.c.tolist(),
-        "E": {"format": "dense", "data": problem.E.ravel().tolist()},
+        "E": _matrix_to_dict(problem.E),
         "f": problem.f.tolist(),
     }
 

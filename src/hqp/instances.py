@@ -1,4 +1,4 @@
-"""Random instance families, a brute-force optimality oracle, and sweeps.
+"""Random instance families and a brute-force optimality oracle.
 
 Instance generation is deterministic for a fixed (kind, n, m, seed): draws
 come from numpy's PCG64 generator seeded with the instance seed, and the
@@ -8,10 +8,8 @@ draws G, then E, then f, then c).
 
 from __future__ import annotations
 
-import csv
 import enum
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,25 +18,9 @@ import scipy.optimize
 
 from .embedding import SolveStatus
 from .errors import HqpError, TooLarge
-from .iipm import IipmConfig
-from .pipeline import solve_qp
 from .qp import QpKktPoint, QpProblem, qp_kkt_residuals
 
 ORACLE_MAX_N = 20
-
-REPORT_CSV_COLUMNS = (
-    "kind",
-    "n",
-    "seed",
-    "status",
-    "iters",
-    "mu_final",
-    "rd_final",
-    "rp_final",
-    "cert_or_kkt_res",
-    "theta",
-    "time_ms",
-)
 
 
 class InstanceKind(str, enum.Enum):
@@ -238,104 +220,3 @@ def _free_subset_solve(problem: QpProblem, free: list, tol: float):
     y = np.zeros(problem.n)
     y[free] = sol[:k]
     return y, sol[k:]
-
-
-@dataclass
-class ExperimentReport:
-    rows: list
-
-    def to_csv(self, target) -> None:
-        if hasattr(target, "write"):
-            self._write(target)
-        else:
-            with open(target, "w", newline="") as fh:
-                self._write(fh)
-
-    def _write(self, fh) -> None:
-        writer = csv.DictWriter(fh, fieldnames=REPORT_CSV_COLUMNS, extrasaction="ignore")
-        writer.writeheader()
-        for row in self.rows:
-            writer.writerow(row)
-
-    def summary(self) -> str:
-        lines = []
-        key = lambda r: (r["kind"], r["n"])
-        for (kind, n), group in itertools.groupby(sorted(self.rows, key=key), key=key):
-            group = list(group)
-            statuses = {}
-            for r in group:
-                statuses[r["status"]] = statuses.get(r["status"], 0) + 1
-            iters = [r["iters"] for r in group if isinstance(r["iters"], int)]
-            iter_note = (
-                f"iters {min(iters)}-{max(iters)}" if iters else "iters n/a"
-            )
-            status_note = ", ".join(f"{k}: {v}" for k, v in sorted(statuses.items()))
-            lines.append(f"{kind} n={n}: {status_note} ({iter_note})")
-        return "\n".join(lines)
-
-
-def run_experiment(
-    kinds,
-    sizes,
-    reps: int,
-    config: Optional[IipmConfig] = None,
-    m: int = 1,
-) -> ExperimentReport:
-    """Run the full pipeline over instance families and tabulate results.
-
-    Seeds run 0..reps-1 per (kind, size).  Per-instance failures are
-    recorded as status "error" without aborting the sweep.
-    """
-    rows = []
-    for kind in kinds:
-        kind = InstanceKind(kind)
-        for n in sizes:
-            for seed in range(reps):
-                spec = InstanceSpec(kind=kind, n=n, m=m, seed=seed)
-                rows.append(_run_instance(spec, config))
-    return ExperimentReport(rows=rows)
-
-
-def _run_instance(spec: InstanceSpec, config: Optional[IipmConfig]) -> dict:
-    row = {
-        "kind": spec.kind.value,
-        "n": spec.n,
-        "seed": spec.seed,
-        "status": "error",
-        "iters": "",
-        "mu_final": "",
-        "rd_final": "",
-        "rp_final": "",
-        "cert_or_kkt_res": "",
-        "theta": "",
-        "time_ms": "",
-    }
-    problem = generate(spec)
-    start = time.perf_counter()
-    try:
-        result = solve_qp(problem, config)
-    except HqpError as exc:
-        row["status"] = "error"
-        row["error"] = str(exc)
-        row["time_ms"] = (time.perf_counter() - start) * 1e3
-        return row
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    outcome = result.outcome
-    diag = outcome.diagnostics
-    row.update(
-        {
-            "status": outcome.status.value,
-            "iters": diag.get("iterations", ""),
-            "mu_final": diag.get("mu", ""),
-            "rd_final": diag.get("rd_norm", ""),
-            "rp_final": diag.get("rp_norm", ""),
-            "theta": result.theta_report.theta,
-            "time_ms": elapsed_ms,
-        }
-    )
-    if outcome.status is SolveStatus.OPTIMAL:
-        row["cert_or_kkt_res"] = outcome.recovery.kkt.max_violation()
-    elif outcome.status is SolveStatus.INFEASIBLE:
-        row["cert_or_kkt_res"] = outcome.recovery.certificate.max_violation()
-    row["hqp_objective"] = diag.get("hqp_objective", "")
-    return row

@@ -230,11 +230,20 @@ class EqualityKkt:
     factored Schur complement.  It is
     nonsingular when E has full row rank and C is positive definite on
     null(E), which holds exactly when :meth:`inertia` is (n, m, 0).
+    ``apply_C`` multiplies by C in the refinement of :meth:`solve`; by
+    default it is the dense product.
     """
 
-    def __init__(self, C: np.ndarray, E: np.ndarray, divide: Optional[np.ndarray] = None):
+    def __init__(
+        self,
+        C: np.ndarray,
+        E: np.ndarray,
+        divide: Optional[np.ndarray] = None,
+        apply_C: Optional[Callable] = None,
+    ):
         self.C = np.asarray(C, dtype=float)
         self.E = np.atleast_2d(np.asarray(E, dtype=float))
+        self.apply_C = apply_C or self.C.__matmul__
         if divide is None:
             divide = diagonal_rows(self.C) & (np.diagonal(self.C) > 0.0)
         split = split_diagonal(self.C, self.E, divide)
@@ -251,12 +260,12 @@ class EqualityKkt:
     def solve(self, rhs_top, rhs_bot) -> tuple[np.ndarray, np.ndarray]:
         """(y; nu) with a residual of at most SOLVE_RTOL relative to the
         right-hand-side norm."""
-        C, E = self.C, self.E
-        n = C.shape[0]
+        apply_C, E = self.apply_C, self.E
+        n = self.C.shape[0]
         rhs = np.concatenate([np.asarray(rhs_top, dtype=float), np.asarray(rhs_bot, dtype=float)])
 
         def apply(v):
-            return np.concatenate([C @ v[:n] + E.T @ v[n:], E @ v[:n]])
+            return np.concatenate([apply_C(v[:n]) + E.T @ v[n:], E @ v[:n]])
 
         sol = _refined_solve(rhs, self._solve, apply, SingularKkt)
         return sol[:n], sol[n:]

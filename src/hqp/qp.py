@@ -178,7 +178,7 @@ def validate(problem: QpProblem) -> ValidatedProblem:
                 f"E has numerical rank {rank} < {m} (tolerance {rank_tol:.3e})"
             )
     divide = problem.diagonal_rows & (np.diagonal(problem.C) > 0.0)
-    kkt = linsys.EqualityKkt(problem.C, problem.E, divide)
+    kkt = linsys.EqualityKkt(problem.C, problem.E, divide, problem.apply_C)
     inertia = kkt.inertia()
     if inertia != (n, m, 0):
         raise NotReducedPd(

@@ -201,6 +201,27 @@ class TestSolve:
         assert again == doc
 
 
+class TestParser:
+    def test_built_once_without_state_between_calls(self, workdir):
+        from hqp.cli import build_parser
+
+        build_parser.cache_clear()
+        path = gen(workdir, "feasible_sv", 5)
+        first, second = workdir / "first.json", workdir / "second.json"
+        args = ("--theta", "50", "--tol-mu", "1e-11", "--output", str(first))
+        assert run_cli("solve", str(path), *args) == 0
+        assert run_cli("solve", str(path), "--output", str(second)) == 0
+        assert run_cli("check", str(path), str(second)) == 0
+        assert build_parser.cache_info().misses == 1
+        overridden, plain = json.loads(first.read_text()), json.loads(second.read_text())
+        assert overridden["theta_report"]["override"] is True
+        assert overridden["theta_report"]["theta"] == 50.0
+        assert overridden["config_echo"]["tol_mu"] == 1e-11
+        assert plain["theta_report"]["override"] is False
+        assert plain["theta_report"]["theta"] != 50.0
+        assert plain["config_echo"]["tol_mu"] == 1e-8
+
+
 class TestCheck:
     def test_round_trip_infeasible(self, workdir):
         path = gen(workdir, "infeasible_sv", 6)
@@ -324,27 +345,3 @@ class TestCheck:
     def test_missing_solution_file(self, workdir):
         path = gen(workdir, "feasible_sv", 4)
         assert run_cli("check", str(path), str(workdir / "nope.json")) == 4
-
-
-class TestExperiment:
-    def test_small_sweep_csv(self, workdir, capsys):
-        out = workdir / "report.csv"
-        rc = run_cli(
-            "experiment",
-            "--kinds",
-            "infeasible_sv,feasible_sv",
-            "--sizes",
-            "3,4",
-            "--reps",
-            "2",
-            "--out",
-            str(out),
-        )
-        assert rc == 0
-        text = capsys.readouterr().out
-        assert "infeasible_sv n=3" in text
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 9
-
-    def test_bad_kind(self):
-        assert run_cli("experiment", "--kinds", "bogus", "--sizes", "3") == 4

@@ -160,6 +160,99 @@ class TestSerializationFidelity:
         assert "min_eig_lower_bound" not in doc
 
 
+def round_trip_doc(p):
+    """The written document of ``p``, after checking that the text loads
+    back to bitwise the same arrays."""
+    back = loads_problem(dumps_problem(p))
+    for a, b in ((back.C, p.C), (back.c, p.c), (back.E, p.E), (back.f, p.f)):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    return json.loads(dumps_problem(p))
+
+
+class TestWriterFormat:
+    """A matrix is written COO when fewer than one entry in three is
+    nonzero, dense otherwise."""
+
+    def test_sv_files(self):
+        for kind in ("feasible_sv", "infeasible_sv"):
+            p = hqp.generate(hqp.InstanceSpec(kind=kind, n=50, seed=2))
+            doc = round_trip_doc(p)
+            assert doc["C"] == {
+                "format": "coo",
+                "rows": list(range(50)),
+                "cols": list(range(50)),
+                "vals": [1.0] * 50,
+            }
+            assert doc["E"]["format"] == "dense"
+            assert doc["E"]["data"] == p.E.ravel().tolist()
+            # A file written dense, as before the COO writer, loads the same.
+            dense = dict(doc, C={"format": "dense", "data": p.C.ravel().tolist()})
+            assert problem_from_dict(dense).C.tobytes() == p.C.tobytes()
+
+    def test_dense_spd(self):
+        p = hqp.generate(hqp.InstanceSpec(kind="random_spd", n=20, m=5, seed=1))
+        doc = round_trip_doc(p)
+        assert doc["C"]["format"] == "dense" and doc["E"]["format"] == "dense"
+
+    def test_coo_is_row_major_and_at_the_threshold(self):
+        C = np.diag([2.0, 0.0, 3.0, 1.0])
+        C[0, 2] = C[2, 0] = -1.0
+        p = QpProblem(C, np.zeros(4))
+        assert round_trip_doc(p)["C"] == {
+            "format": "coo",
+            "rows": [0, 0, 2, 2, 3],
+            "cols": [0, 2, 0, 2, 3],
+            "vals": [2.0, -1.0, -1.0, 3.0, 1.0],
+        }
+        # 3 nonzeros of 9 is one in three: dense.  2 of 9 is fewer: COO.
+        doc = round_trip_doc(QpProblem(np.diag([1.0, 2.0, 3.0]), np.zeros(3)))
+        assert doc["C"] == {"format": "dense", "data": np.diag([1.0, 2.0, 3.0]).ravel().tolist()}
+        doc = round_trip_doc(QpProblem(np.diag([1.0, 0.0, 3.0]), np.zeros(3)))
+        assert doc["C"]["format"] == "coo"
+
+    @pytest.mark.parametrize("density", [0.05, 0.3, 0.34, 0.6])
+    def test_random_density_round_trip(self, density):
+        rng = np.random.default_rng(int(density * 100))
+        n, m = 30, 12
+        C = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+        E = rng.standard_normal((m, n)) * (rng.random((m, n)) < density)
+        # A negative draw times 0 is -0.0, which would make the matrix dense.
+        C[C == 0.0] = 0.0
+        E[E == 0.0] = 0.0
+        p = QpProblem(C, rng.standard_normal(n), E, rng.standard_normal(m))
+        doc = round_trip_doc(p)
+        for name, a in (("C", p.C), ("E", p.E)):
+            sparse = 3 * np.count_nonzero(a) < a.size
+            assert doc[name]["format"] == ("coo" if sparse else "dense")
+
+    def test_all_zero_C_is_empty_coo(self):
+        p = QpProblem(np.zeros((4, 4)), np.ones(4), np.ones((1, 4)), [1.0])
+        doc = round_trip_doc(p)
+        assert doc["C"] == {"format": "coo", "rows": [], "cols": [], "vals": []}
+
+    def test_no_rows_is_empty_dense(self):
+        p = QpProblem(np.eye(3), np.ones(3))
+        doc = round_trip_doc(p)
+        assert doc["m"] == 0 and doc["f"] == []
+        assert doc["E"] == {"format": "dense", "data": []}
+
+    def test_negative_zero_survives(self):
+        # Summing COO entries into +0.0 loses the sign, so a matrix that
+        # holds a -0.0 is written dense, however sparse it is.
+        C = np.eye(6)
+        C[3, 3] = -0.0
+        E = np.zeros((2, 6))
+        E[0, 0], E[1, 4] = 1.0, -0.0
+        p = QpProblem(C, np.zeros(6), E, [1.0, 0.0])
+        doc = round_trip_doc(p)
+        assert doc["C"]["format"] == "dense" and doc["E"]["format"] == "dense"
+        back = loads_problem(dumps_problem(p))
+        assert np.signbit(back.C[3, 3]) and np.signbit(back.E[1, 4])
+        E[1, 4] = 0.0
+        doc = round_trip_doc(QpProblem(np.eye(6), np.zeros(6), E, [1.0, 0.0]))
+        assert doc["E"]["format"] == "coo"
+
+
 def coo_doc():
     doc = sample_doc()
     doc["C"] = {"format": "coo", "rows": [0, 1], "cols": [0, 1], "vals": [1.0, 1.0]}

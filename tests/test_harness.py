@@ -1,6 +1,4 @@
-"""Instance families, the brute-force oracle, and experiment sweeps."""
-
-import io
+"""Instance families and the brute-force oracle."""
 
 import numpy as np
 import pytest
@@ -19,7 +17,6 @@ from hqp import (
     solve_qp,
     validate,
 )
-from hqp.instances import REPORT_CSV_COLUMNS, run_experiment
 from hqp.qp import QpKktPoint
 
 
@@ -120,57 +117,3 @@ class TestOracle:
             assert result.outcome.status is oracle.status
             if oracle.status is SolveStatus.OPTIMAL:
                 assert np.linalg.norm(result.outcome.y - oracle.y_opt, np.inf) <= 1e-6
-
-
-class TestRunExperiment:
-    def test_small_sweep(self):
-        report = run_experiment(
-            [InstanceKind.INFEASIBLE_SV, InstanceKind.FEASIBLE_SV], [3, 4], reps=2
-        )
-        assert len(report.rows) == 8
-        for row in report.rows:
-            kind = row["kind"]
-            if kind == "infeasible_sv":
-                assert row["status"] == "infeasible"
-            else:
-                assert row["status"] == "optimal"
-            assert row["iters"] <= 200
-            assert row["theta"] > 0
-
-    def test_empty_sizes(self):
-        report = run_experiment([InstanceKind.FEASIBLE_SV], [], reps=3)
-        assert report.rows == []
-        assert report.summary() == ""
-
-    def test_csv_columns(self):
-        report = run_experiment([InstanceKind.FEASIBLE_SV], [3], reps=1)
-        buf = io.StringIO()
-        report.to_csv(buf)
-        header = buf.getvalue().splitlines()[0]
-        assert header == ",".join(REPORT_CSV_COLUMNS)
-
-    def test_determinism(self):
-        one = run_experiment([InstanceKind.FEASIBLE_SV], [4], reps=2)
-        two = run_experiment([InstanceKind.FEASIBLE_SV], [4], reps=2)
-        assert [r["iters"] for r in one.rows] == [r["iters"] for r in two.rows]
-        assert [r["status"] for r in one.rows] == [r["status"] for r in two.rows]
-
-    def test_per_instance_failures_do_not_abort(self, monkeypatch):
-        import hqp.instances as inst
-        from hqp import HqpError
-
-        original = inst.solve_qp
-        calls = {"count": 0}
-
-        def flaky(problem, config=None, **kwargs):
-            calls["count"] += 1
-            if calls["count"] == 1:
-                raise HqpError("injected failure")
-            return original(problem, config, **kwargs)
-
-        monkeypatch.setattr(inst, "solve_qp", flaky)
-        report = inst.run_experiment([InstanceKind.FEASIBLE_SV], [3], reps=2)
-        statuses = sorted(r["status"] for r in report.rows)
-        assert statuses == ["error", "optimal"]
-        failed = next(r for r in report.rows if r["status"] == "error")
-        assert failed["error"] == "injected failure"
