@@ -108,7 +108,7 @@ def _solution_document(result, config: IipmConfig, status: str) -> dict:
 
 def _emit(doc: dict, fmt: str, output) -> None:
     if fmt == "json":
-        text = json.dumps(doc, indent=2, allow_nan=False)
+        text = json.dumps(doc, allow_nan=False)
     else:
         text = _render_text(doc)
     if output:

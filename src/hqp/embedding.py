@@ -21,7 +21,7 @@ multipliers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional
 
@@ -43,12 +43,26 @@ from .qp import (
 # positive.
 THETA_MARGIN = 0.1
 THETA_FLOOR = 1.0
+# The worst residual, relative to 1 + max(data scale, theta), at which a
+# recovery route is certified.
+RECOVER_TOL = 1e-6
 # Relative duality gap |y'xi| / (1 + |objective|) the optimal route must
-# meet on top of its scaled residuals: a tenth of recover's default
-# tolerance.  At the optimum tau = theta / (2 p* + theta), so a theta near
-# 2|theta_star| makes tau small, and rescaling by tau multiplies the lifted
-# gap by 1/tau^2.
+# meet on top of its scaled residuals: a tenth of RECOVER_TOL.  At the
+# optimum tau = theta / (2 p* + theta), so a theta near 2|theta_star|
+# makes tau small, and rescaling by tau multiplies the lifted gap by
+# 1/tau^2.
 GAP_RTOL = 1e-7
+
+
+def record_dict(record) -> dict:
+    """The fields of a dataclass record in declaration order, with a
+    non-finite float as None so the JSON document stays strict.  Unlike
+    dataclasses.asdict, nothing is copied."""
+    out = {}
+    for f in fields(record):
+        v = getattr(record, f.name)
+        out[f.name] = None if isinstance(v, float) and not np.isfinite(v) else v
+    return out
 
 
 @dataclass(frozen=True)
@@ -67,13 +81,7 @@ class ThetaReport:
     override: bool = False
 
     def as_dict(self) -> dict:
-        return {
-            "theta_star": self.theta_star,
-            "condition1_rhs": self.condition1_rhs if np.isfinite(self.condition1_rhs) else None,
-            "theta": self.theta,
-            "margin": self.margin,
-            "override": self.override,
-        }
+        return record_dict(self)
 
 
 @dataclass(frozen=True)
@@ -291,21 +299,16 @@ class SolveOutcome:
 
 
 def recover(
-    hqp: HqpProblem,
-    x_hat: np.ndarray,
-    lam_hat: np.ndarray,
-    s_hat: np.ndarray,
-    tol_recover: float = 1e-6,
-    tau_hint: float = 1e-4,
+    hqp: HqpProblem, x_hat: np.ndarray, lam_hat: np.ndarray, s_hat: np.ndarray
 ) -> SolveOutcome:
     """Classify a converged lifted iterate as a QP optimum or a certificate.
 
     Splits x into (y_hat, tau_hat) and s into (xi_hat, omega_hat).  The
     optimal-point route rescales by tau_hat, the certificate route by
     theta + omega_hat; both are scored by their worst residual relative to
-    1 + max(data scale, theta), and whichever meets ``tol_recover`` wins
-    (the smaller score on a tie, with ``tau_hint`` as the tie-break between
-    numerically identical scores).  The optimal route must also bring its
+    1 + max(data scale, theta), and whichever meets RECOVER_TOL wins.
+    When both do, the smaller score wins, and an exact tie goes to the
+    optimal route.  The optimal route must also bring its
     relative duality gap |y'xi| / (1 + |0.5 y'Cy + c'y|) to GAP_RTOL.
     Raises AmbiguousStatus when neither route meets tolerance.
     """
@@ -343,29 +346,20 @@ def recover(
         gap=float(gap),
         certificate=cert_res,
         certificate_scaled=float(cert_scaled),
-        tol=tol_recover,
+        tol=RECOVER_TOL,
     )
 
-    kkt_ok = kkt_scaled <= tol_recover and gap <= GAP_RTOL
-    cert_ok = cert_scaled <= tol_recover
-    if kkt_ok and cert_ok:
-        if kkt_scaled == cert_scaled:
-            choose_optimal = tau_hat > tau_hint
-        else:
-            choose_optimal = kkt_scaled < cert_scaled
-    elif kkt_ok:
-        choose_optimal = True
-    elif cert_ok:
-        choose_optimal = False
-    else:
+    kkt_ok = kkt_scaled <= RECOVER_TOL and gap <= GAP_RTOL
+    cert_ok = cert_scaled <= RECOVER_TOL
+    if not (kkt_ok or cert_ok):
         raise AmbiguousStatus(
-            f"neither recovery met tolerance {tol_recover:.1e} "
+            f"neither recovery met tolerance {RECOVER_TOL:.1e} "
             f"(optimal route {kkt_scaled:.3e} with gap {gap:.3e}, "
             f"certificate route {cert_scaled:.3e})",
             report=report,
         )
 
-    if choose_optimal:
+    if kkt_ok and (not cert_ok or kkt_scaled <= cert_scaled):
         return SolveOutcome(
             status=SolveStatus.OPTIMAL,
             y=point.y,

@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from . import linsys
-from .embedding import HqpProblem, SolveOutcome, SolveStatus, recover
+from .embedding import HqpProblem, SolveOutcome, SolveStatus, record_dict, recover
 from .errors import AmbiguousStatus, SingularNewton, StepSearchFailed
 
 # CSV columns of the per-iteration log (the record carries extra fields,
@@ -29,72 +29,52 @@ LOG_CSV_COLUMNS = ("k", "mu", "rd_norm", "rp_norm", "alpha", "sigma", "nbhd_rati
 # step falls below this fraction is replaced by the pure centered direction
 # on the same factors, which keeps the long-step analysis.
 SAFEGUARD_STEP = 0.1
+# Mehrotra's (SIAM J. Optim., 1992) clamp on the centering weight; the
+# upper end of 1/2 keeps the long-step analysis for the centered direction.
+SIGMA_MIN = 0.05
+SIGMA_MAX = 0.5
+# Step search: trials shrink geometrically by STEP_BACKTRACK from the
+# damped positivity boundary, at most STEP_TRIALS of them.
+STEP_BACKTRACK = 0.8
+STEP_TRIALS = 60
 
 
 @dataclass
 class IipmConfig:
     """Algorithm parameters.
 
-    gamma in (0,1) and beta >= 1 shape the neighborhood; the centering
-    weight of each step is Mehrotra's (mu_aff/mu)^3, clamped to
-    [sigma_min, sigma_max] with sigma_max <= 1/2.  zeta scales the all-ones
-    initial iterate; None selects max(10, ||c||_inf, ||f||_inf, theta).
-    Recovery is attempted once mu <= tol_mu and the residual norm is below
-    tol_res relative to its initial size.  Step search backtracks
-    geometrically from the damped positivity boundary.
+    gamma in (0,1) and beta >= 1 shape the neighborhood.  zeta scales the
+    all-ones initial iterate; None selects max(10, ||c||_inf, ||f||_inf,
+    theta).  Recovery is attempted once mu <= tol_mu and the residual norm
+    is below tol_res relative to its initial size.
     """
 
     gamma: float = 1e-3
     beta: float = 2.0
-    sigma_min: float = 0.05
-    sigma_max: float = 0.5
     zeta: Optional[float] = None
     tol_mu: float = 1e-8
     tol_res: float = 1e-8
     max_iter: int = 200
-    step_backtrack: float = 0.8
-    step_trials: int = 60
 
     def __post_init__(self):
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.beta < 1.0:
             raise ValueError(f"beta must be at least 1, got {self.beta}")
-        if not 0.0 < self.sigma_min < self.sigma_max <= 0.5:
-            raise ValueError(
-                f"need 0 < sigma_min < sigma_max <= 1/2, got "
-                f"[{self.sigma_min}, {self.sigma_max}]"
-            )
         if self.zeta is not None and self.zeta <= 0.0:
             raise ValueError(f"zeta must be positive, got {self.zeta}")
         if self.tol_mu <= 0.0 or self.tol_res <= 0.0:
             raise ValueError("tolerances must be positive")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
-        if not 0.0 < self.step_backtrack < 1.0:
-            raise ValueError(
-                f"step_backtrack must lie in (0, 1), got {self.step_backtrack}"
-            )
-        if self.step_trials < 1:
-            raise ValueError(f"step_trials must be at least 1, got {self.step_trials}")
-
-    def centering_weight(self, mu_aff: float, mu: float) -> float:
-        """Mehrotra's (1992) rule: clamp((mu_aff/mu)^3, sigma_min, sigma_max)."""
-        return float(min(max((mu_aff / mu) ** 3, self.sigma_min), self.sigma_max))
 
     def as_dict(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "beta": self.beta,
-            "sigma_min": self.sigma_min,
-            "sigma_max": self.sigma_max,
-            "zeta": self.zeta,
-            "tol_mu": self.tol_mu,
-            "tol_res": self.tol_res,
-            "max_iter": self.max_iter,
-            "step_backtrack": self.step_backtrack,
-            "step_trials": self.step_trials,
-        }
+        return record_dict(self)
+
+
+def centering_weight(mu_aff: float, mu: float) -> float:
+    """Mehrotra's (1992) rule: clamp((mu_aff/mu)^3, SIGMA_MIN, SIGMA_MAX)."""
+    return float(min(max((mu_aff / mu) ** 3, SIGMA_MIN), SIGMA_MAX))
 
 
 def residuals(hqp: HqpProblem, x, lam, s):
@@ -164,8 +144,7 @@ def in_neighborhood(
     # Roundoff floor so an exactly-feasible start is not rejected for
     # residuals at machine-noise level.
     ok_res = norm_r <= config.beta * (r0_norm / mu0) * iterate.mu + 1e-14 * (1.0 + r0_norm)
-    positive = bool((iterate.x > 0.0).all() and (iterate.s > 0.0).all())
-    ok = positive and ok_res and centrality >= config.gamma
+    ok = ok_res and centrality >= config.gamma
     return NeighborhoodCheck(ok=ok, residual_ratio=float(ratio), centrality=centrality)
 
 
@@ -190,15 +169,13 @@ class NewtonDirection:
         return self.fallback is not None
 
 
-def newton_direction(
-    hqp: HqpProblem, iterate: IipmIterate, config: IipmConfig
-) -> NewtonDirection:
+def newton_direction(hqp: HqpProblem, iterate: IipmIterate) -> NewtonDirection:
     """Mehrotra's predictor-corrector direction at the current iterate.
 
     One factorization serves every right-hand side.  The affine-scaling
     one, (-r_d, -r_p, -Xs), gets a plain backsolve (dx_a, ds_a); mu_aff is
     the duality measure at min(1, positivity boundary) along it, and
-    sigma = config.centering_weight(mu_aff, mu).  The corrected one,
+    sigma = centering_weight(mu_aff, mu).  The corrected one,
     (-r_d, -r_p, -Xs + sigma mu e - dx_a ds_a), adds the second-order term
     of Mehrotra (1992) and is solved to a backward error of at most
     linsys.SOLVE_RTOL, recorded for the iteration log.  The direction's
@@ -213,7 +190,7 @@ def newton_direction(
     def center(dx, dlam, ds):
         alpha = min(1.0, positivity_boundary(x, s, dx, ds))
         mu_aff = float((x + alpha * dx) @ (s + alpha * ds) / x.size)
-        chosen.update(sigma=config.centering_weight(mu_aff, mu), mu_aff=mu_aff)
+        chosen.update(sigma=centering_weight(mu_aff, mu), mu_aff=mu_aff)
         corrected = rhs.copy()
         corrected[-x.size:] += chosen["sigma"] * mu - dx * ds
         return corrected
@@ -259,8 +236,8 @@ def step_length(
     trial0 = min(1.0, 0.995 * bound)
     if trial0 <= 0.0:
         raise StepSearchFailed("positivity boundary collapsed to zero")
-    for j in range(config.step_trials):
-        alpha = trial0 * config.step_backtrack**j
+    for j in range(STEP_TRIALS):
+        alpha = trial0 * STEP_BACKTRACK**j
         x_new = iterate.x + alpha * direction.dx
         s_new = iterate.s + alpha * direction.ds
         if (x_new <= 0.0).any() or (s_new <= 0.0).any():
@@ -272,7 +249,7 @@ def step_length(
         if nbhd.ok and candidate.mu <= (1.0 - 0.01 * alpha) * iterate.mu:
             return alpha, candidate, nbhd
     raise StepSearchFailed(
-        f"no acceptable step among {config.step_trials} trials "
+        f"no acceptable step among {STEP_TRIALS} trials "
         f"(boundary {bound:.3e}, mu {iterate.mu:.3e})"
     )
 
@@ -307,28 +284,7 @@ class IterationRecord:
     corrected: Optional[bool] = None
 
     def as_dict(self) -> dict:
-        out = {
-            "k": self.k,
-            "mu": self.mu,
-            "rd_norm": self.rd_norm,
-            "rp_norm": self.rp_norm,
-            "alpha": self.alpha,
-            "sigma": self.sigma,
-            "mu_aff": self.mu_aff,
-            "nbhd_ratio": self.nbhd_ratio,
-            "upsilon": self.upsilon,
-            "centrality": self.centrality,
-            "decay_rel_err": self.decay_rel_err,
-            "decay_abs_err": self.decay_abs_err,
-            "newton_rel_resid": self.newton_rel_resid,
-            "iterate_scale": self.iterate_scale,
-            "corrected": self.corrected,
-        }
-        # None for non-finite entries keeps the JSON document strict.
-        return {
-            k: (None if isinstance(v, float) and not np.isfinite(v) else v)
-            for k, v in out.items()
-        }
+        return record_dict(self)
 
 
 @dataclass
@@ -452,7 +408,7 @@ def solve(
             break
 
         try:
-            direction = newton_direction(hqp, iterate, config)
+            direction = newton_direction(hqp, iterate)
             # The safeguard: a corrected step that is short, or that the
             # step search refuses, is replaced by the fallback's step.  The
             # accepted step never exceeds the positivity boundary, so a

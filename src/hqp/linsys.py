@@ -22,7 +22,9 @@ import scipy.linalg.lapack
 
 from .errors import SingularKkt, SingularNewton
 
-# Relative backsolve residual every factorized solve must meet.
+# Accuracy every factorized solve must meet: the residual relative to the
+# right-hand side for a KKT solve, the normwise backward error for a
+# Newton solve.
 SOLVE_RTOL = 1e-10
 # Iterative-refinement budget per solve.  Late interior-point systems are
 # ill-conditioned enough that a single step is not always sufficient; the
@@ -100,32 +102,32 @@ class AugmentedFactorization:
         return x
 
 
-def _refined_solve(rhs, backsolve, apply, error_cls) -> np.ndarray:
-    """Solve to a residual of at most SOLVE_RTOL relative to ||rhs||.
+def _refined_solve(rhs, backsolve, residual, measure, error_cls) -> tuple[np.ndarray, float]:
+    """Solve to an accuracy measure of at most SOLVE_RTOL.
 
-    ``backsolve`` is a raw solve and ``apply`` multiplies by the matrix the
-    residual is taken against; up to MAX_REFINE_STEPS refinement steps run
-    through ``backsolve``.  Raises ``error_cls`` when the best solution
-    still misses.
+    ``backsolve`` is a raw solve, ``residual(x)`` is rhs - M x for the
+    matrix M the solve is checked against, and ``measure(r, x)`` is the
+    accuracy of x with residual r.  Up to MAX_REFINE_STEPS refinement
+    steps run through ``backsolve``, and the first solution that meets the
+    tolerance is returned with its measure.  Progress is non-monotone near
+    the boundary, so ``error_cls``, raised when none meets it, reports the
+    best measure seen.
     """
-    rhs = np.asarray(rhs, dtype=float)
-    rhs_norm = np.linalg.norm(rhs)
-    if rhs_norm == 0.0:
-        return np.zeros_like(rhs)
+    if not rhs.any():
+        return np.zeros_like(rhs), 0.0
     x = backsolve(rhs)
-    best_x, best_rel = x, np.inf
+    best = np.inf
     for _ in range(MAX_REFINE_STEPS + 1):
-        if not np.all(np.isfinite(x)):
-            break
-        residual = rhs - apply(x)
-        rel = np.linalg.norm(residual) / rhs_norm
-        if np.isfinite(rel) and rel < best_rel:
-            best_x, best_rel = x, rel
-        if best_rel <= SOLVE_RTOL:
-            return best_x
-        x = x + backsolve(residual)
+        r = residual(x)
+        err = measure(r, x)
+        if err <= SOLVE_RTOL:
+            return x, err
+        # A non-finite solution measures NaN or inf and never counts.
+        if err < best:
+            best = err
+        x = x + backsolve(r)
     raise error_cls(
-        f"backsolve residual {best_rel:.3e} exceeds {SOLVE_RTOL:.1e} "
+        f"solve stalled at {best:.3e} above {SOLVE_RTOL:.1e} "
         f"after {MAX_REFINE_STEPS} refinement steps"
     )
 
@@ -263,11 +265,14 @@ class EqualityKkt:
         apply_C, E = self.apply_C, self.E
         n = self.C.shape[0]
         rhs = np.concatenate([np.asarray(rhs_top, dtype=float), np.asarray(rhs_bot, dtype=float)])
+        rhs_norm = np.linalg.norm(rhs)
 
-        def apply(v):
-            return np.concatenate([apply_C(v[:n]) + E.T @ v[n:], E @ v[:n]])
+        def residual(v):
+            return rhs - np.concatenate([apply_C(v[:n]) + E.T @ v[n:], E @ v[:n]])
 
-        sol = _refined_solve(rhs, self._solve, apply, SingularKkt)
+        sol, _ = _refined_solve(
+            rhs, self._solve, residual, lambda r, _: np.linalg.norm(r) / rhs_norm, SingularKkt
+        )
         return sol[:n], sol[n:]
 
 
@@ -280,23 +285,17 @@ def newton_data_norm(q_norm: float, A: np.ndarray) -> float:
     return float(max(q_norm + a_t_inf + 1.0, a_inf))
 
 
-def newton_backward_error(apply_q, A, x, s, rhs, dx, dlam, ds, data_norm) -> float:
+def newton_backward_error(residual, sol, rhs, mat_norm) -> float:
     """Normwise backward error of a three-block solve.
 
-    eta = ||residual|| / (||M|| ||delta|| + ||rhs||), the standard accuracy
-    measure for a linear solve.  A plain rhs-relative residual is not
-    attainable in double precision when the solution dwarfs the right-hand
-    side, which happens at late iterates on infeasible problems whose dual
-    multipliers grow along the certificate ray.  ``apply_q`` multiplies by
-    Q, and ``data_norm`` is :func:`newton_data_norm`.
+    eta = ||residual|| / (||M|| ||sol|| + ||rhs||), the standard accuracy
+    measure for a linear solve, with ``mat_norm`` = ||M||.  A plain
+    rhs-relative residual is not attainable in double precision when the
+    solution dwarfs the right-hand side, which happens at late iterates on
+    infeasible problems whose dual multipliers grow along the certificate
+    ray.
     """
-    e1 = rhs[: dx.size] - (apply_q(dx) + A.T @ dlam - ds)
-    e2 = rhs[dx.size : dx.size + dlam.size] - A @ dx
-    e3 = rhs[dx.size + dlam.size :] - (s * dx + x * ds)
-    residual = np.linalg.norm(np.concatenate([e1, e2, e3]))
-    mat_norm = max(data_norm, float(np.max(s + x)))
-    sol_norm = np.linalg.norm(np.concatenate([dx, dlam, ds]))
-    return float(residual / (mat_norm * sol_norm + np.linalg.norm(rhs)))
+    return float(np.linalg.norm(residual) / (mat_norm * np.linalg.norm(sol) + np.linalg.norm(rhs)))
 
 
 def solve_newton_system(
@@ -332,8 +331,7 @@ def solve_newton_system(
     raised when it stalls above the tolerance.  Returns (dx, dlam, ds,
     backward error, solve); ``solve(rhs)`` returns the first four for
     another right-hand side, on the same factors and with the same
-    guarantee.  ``data_norm`` is passed on to
-    :func:`newton_backward_error`.
+    guarantee.  ``data_norm`` is :func:`newton_data_norm`.
     """
     A = np.atleast_2d(np.asarray(A, dtype=float))
     x = np.asarray(x, dtype=float)
@@ -346,40 +344,33 @@ def solve_newton_system(
     if (x <= 0.0).any() or (s <= 0.0).any():
         raise SingularNewton("iterate left the positive orthant")
     solve_aug, _ = factor_split(split, s / x, SingularNewton)
+    # The infinity norm of the three-block matrix.
+    mat_norm = max(data_norm, float(np.max(s + x)))
 
-    def eliminate(t1, t2, t3):
-        aug = solve_aug(np.concatenate([t1 + t3 / x, t2]))
-        dx = aug[:N]
-        dlam = aug[N:]
-        ds = (t3 - s * dx) / x
-        return dx, dlam, ds
+    def backsolve(r):
+        # ds is eliminated through the last block row.
+        t3 = r[N + m:]
+        aug = solve_aug(np.concatenate([r[:N] + t3 / x, r[N:N + m]]))
+        return np.concatenate([aug, (t3 - s * aug[:N]) / x])
+
+    def parts(sol):
+        return sol[:N], sol[N:N + m], sol[N + m:]
+
+    def apply(sol):
+        dx, dlam, ds = parts(sol)
+        return np.concatenate([apply_q(dx) + A.T @ dlam - ds, A @ dx, s * dx + x * ds])
 
     def refined(rhs):
         rhs = np.asarray(rhs, dtype=float)
-        if not rhs.any():
-            return np.zeros(N), np.zeros(m), np.zeros(N), 0.0
-        r1, r2, r3 = rhs[:N], rhs[N:N + m], rhs[N + m:]
-        dx, dlam, ds = eliminate(r1, r2, r3)
-        best = None
-        best_eta = np.inf
-        # Refinement progress is non-monotone near the boundary, so keep the
-        # best solution seen.
-        for _ in range(MAX_REFINE_STEPS + 1):
-            eta = newton_backward_error(apply_q, A, x, s, rhs, dx, dlam, ds, data_norm)
-            if np.isfinite(eta) and eta < best_eta:
-                best, best_eta = (dx, dlam, ds), eta
-            if best_eta <= SOLVE_RTOL:
-                return (*best, best_eta)
-            e1 = r1 - (apply_q(dx) + A.T @ dlam - ds)
-            e2 = r2 - A @ dx
-            e3 = r3 - (s * dx + x * ds)
-            cx, clam, cs = eliminate(e1, e2, e3)
-            dx, dlam, ds = dx + cx, dlam + clam, ds + cs
-        raise SingularNewton(
-            f"Newton backsolve stalled at backward error {best_eta:.3e} above "
-            f"{SOLVE_RTOL:.1e} after {MAX_REFINE_STEPS} refinement steps"
+        sol, eta = _refined_solve(
+            rhs,
+            backsolve,
+            lambda v: rhs - apply(v),
+            lambda r, v: newton_backward_error(r, v, rhs, mat_norm),
+            SingularNewton,
         )
+        return (*parts(sol), eta)
 
     if center is not None:
-        rhs = center(*eliminate(rhs[:N], rhs[N:N + m], rhs[N + m:]))
+        rhs = center(*parts(backsolve(rhs)))
     return (*refined(rhs), refined)

@@ -28,6 +28,24 @@ def full_newton_matrix(Q, A, x, s):
     return M
 
 
+def dense_backward_error(Q, A, x, s, rhs, dx, dlam, ds, data_norm):
+    """Normwise backward error of (dx, dlam, ds) as a solve of the
+    three-block system with the dense Q: the residual of each block row
+    over ||M|| ||solution|| + ||rhs||, with ||M|| = max(data_norm,
+    max(s + x)) and data_norm from linsys.newton_data_norm."""
+    N, m = x.size, A.shape[0]
+    residual = np.concatenate(
+        [
+            rhs[:N] - (Q @ dx + A.T @ dlam - ds),
+            rhs[N:N + m] - A @ dx,
+            rhs[N + m:] - (s * dx + x * ds),
+        ]
+    )
+    mat_norm = max(data_norm, float(np.max(s + x)))
+    sol_norm = np.linalg.norm(np.concatenate([dx, dlam, ds]))
+    return float(np.linalg.norm(residual) / (mat_norm * sol_norm + np.linalg.norm(rhs)))
+
+
 def dense_newton(Q, A):
     """(apply, data_norm, split) of a dense Hessian Q for
     linsys.solve_newton_system; the split divides out the rows of Q that

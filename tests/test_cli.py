@@ -192,6 +192,26 @@ class TestSolve:
         assert lines[0] == "k,mu,rd_norm,rp_norm,alpha,sigma,nbhd_ratio,upsilon"
         assert len(lines) >= 3
 
+    def test_document_lists_each_record_field(self, workdir):
+        # Each record is written field by field, in declaration order, as
+        # one line of compact JSON.
+        from dataclasses import fields
+
+        from hqp import IipmConfig, ThetaReport
+        from hqp.iipm import IterationRecord
+
+        path = gen(workdir, "feasible_sv", 5)
+        out = workdir / "sol.json"
+        assert run_cli("solve", str(path), "--output", str(out)) == 0
+        text = out.read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        doc = json.loads(text)
+        for row in doc["iterations"]:
+            assert list(row) == [f.name for f in fields(IterationRecord)]
+        assert list(doc["config_echo"]) == [f.name for f in fields(IipmConfig)]
+        assert list(doc["config_echo"]) == ["gamma", "beta", "zeta", "tol_mu", "tol_res", "max_iter"]
+        assert list(doc["theta_report"]) == [f.name for f in fields(ThetaReport)]
+
     def test_solution_document_reparses_identically(self, workdir):
         path = gen(workdir, "feasible_sv", 5)
         out = workdir / "sol.json"

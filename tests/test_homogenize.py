@@ -325,6 +325,24 @@ class TestRecover:
             assert rep.gap == pytest.approx(eps / 1.5, rel=1e-9)
             assert rep.as_dict()["gap"] == rep.gap
 
+    def test_exact_tie_goes_to_the_optimal_route(self, monkeypatch):
+        # Both routes certified with equal scores, whatever tau_hat is.
+        import hqp.embedding
+
+        class Scored:
+            r_comp = 0.0
+
+            def max_violation(self):
+                return 1e-9
+
+        monkeypatch.setattr(hqp.embedding, "qp_kkt_residuals", lambda *_: Scored())
+        monkeypatch.setattr(hqp.embedding, "check_certificate", lambda *_: Scored())
+        h = one_var_hqp(theta=2.0)
+        for tau in (1e-6, 1.0):
+            out = recover(h, np.array([tau, tau]), np.array([-tau]), np.array([0.0, 0.0]))
+            assert out.status is SolveStatus.OPTIMAL
+            assert out.recovery.kkt_scaled == out.recovery.certificate_scaled <= out.recovery.tol
+
     def test_report_carries_both_routes(self):
         h = one_var_hqp(theta=2.0)
         tau_bar = 2.0 / 3.0

@@ -26,7 +26,10 @@ from hqp import (
 from hqp.embedding import manual_theta_report
 from hqp.iipm import (
     LOG_CSV_COLUMNS,
+    SIGMA_MAX,
+    SIGMA_MIN,
     automatic_zeta,
+    centering_weight,
     in_neighborhood,
     newton_direction,
     positivity_boundary,
@@ -36,6 +39,7 @@ from hqp.iipm import (
 )
 from _support import (
     check_iterate_norm_bound,
+    dense_backward_error,
     full_newton_matrix,
     lifted_hessian,
     lifted_nullspace_basis,
@@ -64,29 +68,28 @@ class TestConfig:
             {"gamma": 0.0},
             {"gamma": 1.0},
             {"beta": 0.5},
-            {"sigma_min": 0.6, "sigma_max": 0.7},
-            {"sigma_min": 0.2, "sigma_max": 0.1},
             {"zeta": -1.0},
             {"tol_mu": 0.0},
             {"max_iter": 0},
-            {"step_backtrack": 1.0},
-            {"step_trials": 0},
         ],
     )
     def test_invalid_rejected(self, kwargs):
         with pytest.raises(ValueError):
             IipmConfig(**kwargs)
 
-    def test_centering_weight_clamps_mehrotra_ratio(self):
-        cfg = IipmConfig()
-        assert cfg.centering_weight(0.9, 1.0) == 0.5
-        assert cfg.centering_weight(0.1, 1.0) == 0.05
-        assert cfg.centering_weight(0.0, 1.0) == 0.05
-        assert cfg.centering_weight(-1e-18, 1.0) == 0.05
-        assert cfg.centering_weight(1.4, 2.0) == pytest.approx(0.7**3, rel=1e-15)
-        narrow = IipmConfig(sigma_min=0.2, sigma_max=0.25)
-        assert narrow.centering_weight(0.7, 1.0) == 0.25
-        assert narrow.centering_weight(0.5, 1.0) == 0.2
+    def test_centering_weight_clamps_mehrotra_ratio(self, monkeypatch):
+        import hqp.iipm
+
+        assert centering_weight(0.9, 1.0) == 0.5
+        assert centering_weight(0.1, 1.0) == 0.05
+        assert centering_weight(0.0, 1.0) == 0.05
+        assert centering_weight(-1e-18, 1.0) == 0.05
+        assert centering_weight(1.4, 2.0) == pytest.approx(0.7**3, rel=1e-15)
+        # The clamp is read from the module constants at call time.
+        monkeypatch.setattr(hqp.iipm, "SIGMA_MIN", 0.2)
+        monkeypatch.setattr(hqp.iipm, "SIGMA_MAX", 0.25)
+        assert centering_weight(0.7, 1.0) == 0.25
+        assert centering_weight(0.5, 1.0) == 0.2
 
 
 class TestResiduals:
@@ -180,11 +183,10 @@ class TestNewtonDirection:
         x = np.array([2.0, 2.0])
         s = h.apply_hessian(x) + h.q  # lam = 0 keeps the dual residual zero
         it = IipmIterate.compute(h, x, np.zeros(1), s)
-        cfg = IipmConfig()
-        d = newton_direction(h, it, cfg)
+        d = newton_direction(h, it)
         assert d.corrected
-        assert cfg.sigma_min <= d.sigma <= cfg.sigma_max
-        assert d.sigma == cfg.centering_weight(d.mu_aff, it.mu)
+        assert SIGMA_MIN <= d.sigma <= SIGMA_MAX
+        assert d.sigma == centering_weight(d.mu_aff, it.mu)
         M = full_newton_matrix(lifted_hessian(h), h.A, x, s)
         aff = np.linalg.solve(M, np.concatenate([np.zeros(3), -x * s]))
         dx_aff, ds_aff = aff[:2], aff[3:]
@@ -202,7 +204,7 @@ class TestNewtonDirection:
         h = one_var_hqp()
         cfg = IipmConfig()
         it, _ = make_initial(h, cfg)
-        d = newton_direction(h, it, cfg)
+        d = newton_direction(h, it)
         aff = np.linalg.solve(
             full_newton_matrix(lifted_hessian(h), h.A, it.x, it.s),
             np.concatenate([-it.r_d, -it.r_p, -it.x * it.s]),
@@ -237,7 +239,7 @@ class TestStepLength:
             dlam=np.zeros(h.m),
             ds=np.zeros(h.dim),
             rel_residual=0.0,
-            sigma=cfg.sigma_min,
+            sigma=SIGMA_MIN,
             mu_aff=it.mu,
         )
         with pytest.raises(StepSearchFailed):
@@ -247,7 +249,7 @@ class TestStepLength:
         h = one_var_hqp(theta=2.0)
         cfg = IipmConfig()
         it, _ = make_initial(h, cfg)
-        d = newton_direction(h, it, cfg)
+        d = newton_direction(h, it)
         alpha, stepped, nbhd = step_length(h, it, d, cfg, it.residual_norm(), it.mu)
         assert alpha >= 0.1
         fresh = IipmIterate.compute(
@@ -382,9 +384,9 @@ class TestSolve:
 
         raw_direction = hqp.iipm.newton_direction
 
-        def counting_direction(hqp_problem, iterate, config):
+        def counting_direction(hqp_problem, iterate):
             counts.update(factorizations=0, backsolves=0, backward_errors=0)
-            d = raw_direction(hqp_problem, iterate, config)
+            d = raw_direction(hqp_problem, iterate)
             x, s, mu = iterate.x, iterate.s, iterate.mu
             Q, A = lifted_hessian(hqp_problem), hqp_problem.A
             # The affine-scaling direction from a dense solve of the
@@ -407,7 +409,7 @@ class TestSolve:
             rhs = solved.pop("rhs")
             # The dense Q and its norm, recomputed from scratch.
             data_norm = hqp.linsys.newton_data_norm(np.linalg.norm(Q, np.inf), A)
-            eta = raw_backward_error(lambda v: Q @ v, A, x, s, rhs, d.dx, d.dlam, d.ds, data_norm)
+            eta = dense_backward_error(Q, A, x, s, rhs, d.dx, d.dlam, d.ds, data_norm)
             per_step.append((dict(counts), mu, mu_aff, eta, rhs, oracle_rhs))
             return d
 
@@ -425,9 +427,9 @@ class TestSolve:
             # The predictor's plain backsolve, then the corrected solve.
             assert step["backsolves"] == 2
             assert row.corrected is True
-            assert cfg.sigma_min <= row.sigma <= cfg.sigma_max
+            assert SIGMA_MIN <= row.sigma <= SIGMA_MAX
             assert row.mu_aff == pytest.approx(mu_aff, rel=1e-9, abs=1e-9 * mu)
-            assert row.sigma == pytest.approx(cfg.centering_weight(mu_aff, mu), rel=1e-9)
+            assert row.sigma == pytest.approx(centering_weight(mu_aff, mu), rel=1e-9)
             scale = np.linalg.norm(oracle_rhs, np.inf)
             assert np.linalg.norm(rhs - oracle_rhs, np.inf) <= 1e-12 * scale
             assert row.newton_rel_resid == pytest.approx(eta, rel=1e-12)
@@ -476,8 +478,8 @@ class TestSolve:
             # The logged backward error, recomputed with the dense Q against
             # the pure centered right-hand side.
             centered = np.concatenate([-it.r_d, -it.r_p, -it.x * it.s + row.sigma * it.mu])
-            eta = hqp.linsys.newton_backward_error(
-                lambda v: Q @ v, h.A, it.x, it.s, centered, d.dx, d.dlam, d.ds, data_norm
+            eta = dense_backward_error(
+                Q, h.A, it.x, it.s, centered, d.dx, d.dlam, d.ds, data_norm
             )
             assert row.newton_rel_resid == pytest.approx(eta, rel=1e-12)
             # The centered direction as computed without the corrector: a

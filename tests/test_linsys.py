@@ -16,8 +16,10 @@ from hqp import (
     validate,
 )
 from hqp import linsys
+from hqp.errors import SingularNewton
 from hqp.linsys import (
     AugmentedFactorization,
+    MAX_REFINE_STEPS,
     SOLVE_RTOL,
     _refined_solve,
     newton_backward_error,
@@ -26,6 +28,7 @@ from hqp.linsys import (
 
 from _support import (
     STRUCTURED_KINDS,
+    dense_backward_error,
     dense_newton,
     full_newton_matrix,
     lifted_hessian,
@@ -272,7 +275,7 @@ class TestNewtonSystem:
                 oracle = np.linalg.solve(full_newton_matrix(Q, A, x, s), b)
                 sol = np.concatenate([dx, dlam, ds])
                 assert np.allclose(sol, oracle, rtol=1e-9, atol=1e-11)
-                eta = newton_backward_error(apply_q, A, x, s, b, dx, dlam, ds, data_norm)
+                eta = dense_backward_error(Q, A, x, s, b, dx, dlam, ds, data_norm)
                 assert eta <= SOLVE_RTOL
                 assert returned_eta == eta
 
@@ -301,7 +304,8 @@ class TestNewtonSystem:
             # here, since c couples each y_i to tau); the problem's own
             # split divides out every y_i whose row of C is diagonal.  The
             # backward error is recomputed from the dense Q.
-            apply_q, data_norm, dense_split = dense_newton(lifted_hessian(hqp), hqp.A)
+            Q = lifted_hessian(hqp)
+            _, data_norm, dense_split = dense_newton(Q, hqp.A)
             assert data_norm == pytest.approx(hqp.newton_data_norm, rel=1e-14)
             for split in (dense_split, hqp.newton_split):
                 dx, dlam, ds, eta, _ = solve_newton_system(
@@ -309,7 +313,7 @@ class TestNewtonSystem:
                 )
                 assert eta <= SOLVE_RTOL
                 assert eta == pytest.approx(
-                    newton_backward_error(apply_q, hqp.A, x, s, rhs, dx, dlam, ds, data_norm),
+                    dense_backward_error(Q, hqp.A, x, s, rhs, dx, dlam, ds, data_norm),
                     rel=1e-12,
                 )
 
@@ -399,7 +403,93 @@ def refined(M, rhs):
     """Factor a copy of M in place and solve M x = rhs through
     _refined_solve, refining against M itself."""
     fact = AugmentedFactorization(np.array(M, dtype=float, order="F"))
-    return _refined_solve(rhs, fact.backsolve, lambda v: M @ v, SingularKkt)
+    return _refined_solve(
+        rhs,
+        fact.backsolve,
+        lambda v: rhs - M @ v,
+        lambda r, _: np.linalg.norm(r) / np.linalg.norm(rhs),
+        SingularKkt,
+    )[0]
+
+
+# The two accuracy measures of the solver's solves of M x = rhs: the
+# residual relative to the right-hand side (KKT), and the normwise backward
+# error (Newton).
+MEASURES = {
+    "relative_residual": (
+        lambda M, rhs: lambda r, _: np.linalg.norm(r) / np.linalg.norm(rhs),
+        SingularKkt,
+    ),
+    "backward_error": (
+        lambda M, rhs: lambda r, v: newton_backward_error(r, v, rhs, np.linalg.norm(M, np.inf)),
+        SingularNewton,
+    ),
+}
+
+
+@pytest.mark.parametrize("measure", MEASURES)
+class TestRefinedSolve:
+    """The one refinement loop, with a raw backsolve that is made
+    inaccurate on purpose: no solve of the family sweep takes a
+    refinement step."""
+
+    def case(self, measure):
+        rng = np.random.default_rng(13)
+        M = random_spd_matrix(rng, 8) + 0.1 * rng.standard_normal((8, 8))
+        rhs = rng.standard_normal(8)
+        make_measure, error_cls = MEASURES[measure]
+        return M, rhs, make_measure(M, rhs), error_cls, rng
+
+    def test_inaccurate_backsolve_is_refined(self, measure):
+        M, rhs, measure_fn, error_cls, rng = self.case(measure)
+        # Each raw solve is off by a relative 1e-3, entry by entry.
+        skew = 1.0 + 1e-3 * rng.uniform(-1.0, 1.0, rhs.size)
+        calls = []
+
+        def backsolve(r):
+            calls.append(r)
+            return np.linalg.solve(M, r) * skew
+
+        x, err = _refined_solve(rhs, backsolve, lambda v: rhs - M @ v, measure_fn, error_cls)
+        assert err <= SOLVE_RTOL
+        assert err == measure_fn(rhs - M @ x, x)
+        assert 2 <= len(calls) <= 5
+        assert np.allclose(x, np.linalg.solve(M, rhs), rtol=1e-8, atol=1e-10)
+
+    def test_diverging_backsolve_raises(self, measure):
+        M, rhs, measure_fn, error_cls, _ = self.case(measure)
+        calls = []
+
+        def backsolve(r):
+            calls.append(r)
+            return 3.0 * np.linalg.solve(M, r)
+
+        with pytest.raises(error_cls, match="refinement steps") as info:
+            _refined_solve(rhs, backsolve, lambda v: rhs - M @ v, measure_fn, error_cls)
+        assert len(calls) > MAX_REFINE_STEPS
+        # The error doubles with each step, so the first solve is the best
+        # seen, and the message reports its measure.
+        first = 3.0 * np.linalg.solve(M, rhs)
+        assert f"stalled at {measure_fn(rhs - M @ first, first):.3e}" in str(info.value)
+
+    def test_nonfinite_backsolve_raises(self, measure):
+        M, rhs, measure_fn, error_cls, _ = self.case(measure)
+        with pytest.raises(error_cls):
+            _refined_solve(
+                rhs, lambda r: np.full(r.size, np.nan), lambda v: rhs - M @ v, measure_fn, error_cls
+            )
+
+    def test_zero_rhs_skips_the_backsolve(self, measure):
+        M, _, _, error_cls, _ = self.case(measure)
+        rhs = np.zeros(M.shape[0])
+
+        def backsolve(r):
+            raise AssertionError("no backsolve for a zero right-hand side")
+
+        x, err = _refined_solve(
+            rhs, backsolve, lambda v: rhs - M @ v, MEASURES[measure][0](M, rhs), error_cls
+        )
+        assert not x.any() and err == 0.0
 
 
 class TestAugmentedFactorization:

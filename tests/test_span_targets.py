@@ -39,5 +39,7 @@ def test_traced_solve_records_linsys_spans(spans):
     metrics = spans.layer_metrics(tracer.names, tracer.arrays())
     assert metrics["linsys.factorizations"] == 1.0
     assert metrics["linsys.backward_error_calls"] == 1.0
+    # The predictor's plain backsolve and the corrected solve's one.
+    assert metrics["linsys.backsolves"] == 2.0
     assert metrics["iipm.iterations"] > 0
     assert [owner.__dict__[attr] for owner, attr, _, _ in spans.TARGETS] == raw
