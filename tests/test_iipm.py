@@ -68,6 +68,8 @@ class TestConfig:
             {"gamma": 0.0},
             {"gamma": 1.0},
             {"beta": 0.5},
+            {"tol_res": 0.0},
+            {"zeta": 0.0},
             {"zeta": -1.0},
             {"tol_mu": 0.0},
             {"max_iter": 0},
