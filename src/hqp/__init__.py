@@ -27,16 +27,9 @@ from .errors import (
     SingularKkt,
     SingularNewton,
     StepSearchFailed,
-    TooLarge,
 )
 from .iipm import IipmConfig, IipmIterate, IterationLog
-from .instances import (
-    InstanceKind,
-    InstanceSpec,
-    OracleResult,
-    active_set_oracle,
-    generate,
-)
+from .instances import InstanceKind, InstanceSpec, generate
 from .pipeline import SolveResult, solve_qp
 from .qp import (
     GeneralQp,
@@ -66,7 +59,6 @@ __all__ = [
     "InstanceSpec",
     "IterationLog",
     "NotReducedPd",
-    "OracleResult",
     "ProblemFormatError",
     "QpKktPoint",
     "QpProblem",
@@ -78,9 +70,7 @@ __all__ = [
     "SolveStatus",
     "StepSearchFailed",
     "ThetaReport",
-    "TooLarge",
     "ValidatedProblem",
-    "active_set_oracle",
     "check_certificate",
     "compute_theta",
     "embed",

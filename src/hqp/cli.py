@@ -6,7 +6,8 @@ Subcommands: ``solve`` a problem file, ``gen`` a random instance, and
 Solve exit codes: 0 optimal, 2 infeasible, 3 iteration limit, 4 bad input
 or failed validation, 5 numerical failure.  Check: 0 pass, 1 fail, 4 file
 or shape errors, including a vector entry that is not a finite number
-(``fileio.number_vector`` reads both files' number lists).
+(``fileio.number_vector`` reads both files' number lists), or a ``--tol``
+that is not positive and finite.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 from . import fileio
@@ -216,6 +218,8 @@ def _load_solution(path) -> dict:
 
 def _cmd_check(args) -> int:
     try:
+        if not 0.0 < args.tol < math.inf:
+            raise ValueError(f"--tol must be positive and finite, got {args.tol}")
         problem = fileio.load_problem(args.problem)
         doc = _load_solution(args.solution)
         status = doc["status"]

@@ -21,6 +21,7 @@ multipliers.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 from typing import Optional
@@ -159,12 +160,6 @@ class HqpProblem:
         x = np.asarray(x, dtype=float)
         return float(0.5 * x @ self.apply_hessian(x) + self.q @ x)
 
-    def data_scale(self) -> float:
-        scale = max(self.hessian_norm, np.linalg.norm(self.q, np.inf))
-        if self.A.shape[0]:
-            scale = max(scale, np.linalg.norm(self.A, np.inf))
-        return float(scale)
-
 
 def compute_theta(validated: ValidatedProblem) -> ThetaReport:
     """Choose the embedding parameter.
@@ -206,8 +201,8 @@ def manual_theta_report(validated: ValidatedProblem, theta: float) -> ThetaRepor
     run; the magnitude condition theta > 2|theta_star| is reported but not
     enforced, since a nonconvex lift is the only hard failure mode.
     """
-    if theta <= 0.0:
-        raise NotReducedPd(f"theta must be positive, got {theta}")
+    if not 0.0 < theta < math.inf:
+        raise NotReducedPd(f"theta must be positive and finite, got {theta}")
     theta_star = validated.theta_star
     if theta <= -2.0 * theta_star:
         raise NotReducedPd(

@@ -49,7 +49,3 @@ class AmbiguousStatus(HqpError):
         super().__init__(message)
         self.report = report
         self.log = log
-
-
-class TooLarge(HqpError):
-    """Problem exceeds the size limit of the brute-force oracle."""

@@ -11,6 +11,7 @@ complementarity product above gamma times the average.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
@@ -46,7 +47,8 @@ class IipmConfig:
     gamma in (0,1) and beta >= 1 shape the neighborhood.  zeta scales the
     all-ones initial iterate; None selects max(10, ||c||_inf, ||f||_inf,
     theta).  Recovery is attempted once mu <= tol_mu and the residual norm
-    is below tol_res relative to its initial size.
+    is below tol_res relative to its initial size.  Every setting must be
+    finite.
     """
 
     gamma: float = 1e-3
@@ -57,14 +59,18 @@ class IipmConfig:
     max_iter: int = 200
 
     def __post_init__(self):
+        # Every condition is written so that NaN fails it.
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.beta < 1.0:
-            raise ValueError(f"beta must be at least 1, got {self.beta}")
-        if self.zeta is not None and self.zeta <= 0.0:
-            raise ValueError(f"zeta must be positive, got {self.zeta}")
-        if self.tol_mu <= 0.0 or self.tol_res <= 0.0:
-            raise ValueError("tolerances must be positive")
+        if not 1.0 <= self.beta < math.inf:
+            raise ValueError(f"beta must be finite and at least 1, got {self.beta}")
+        if self.zeta is not None and not 0.0 < self.zeta < math.inf:
+            raise ValueError(f"zeta must be positive and finite, got {self.zeta}")
+        if not (0.0 < self.tol_mu < math.inf and 0.0 < self.tol_res < math.inf):
+            raise ValueError(
+                f"tolerances must be positive and finite, got tol_mu={self.tol_mu}, "
+                f"tol_res={self.tol_res}"
+            )
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be at least 1, got {self.max_iter}")
 

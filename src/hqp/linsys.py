@@ -227,27 +227,17 @@ class EqualityKkt:
     """The saddle-point matrix [[C, E'], [E, 0]], factored once.
 
     The variables in ``divide``, whose rows of C must be diagonal with
-    C_ii > 0 (by default all such variables), are divided out
-    (:func:`factor_split`); the rest, with the rows of E, form the
-    factored Schur complement.  It is
-    nonsingular when E has full row rank and C is positive definite on
-    null(E), which holds exactly when :meth:`inertia` is (n, m, 0).
-    ``apply_C`` multiplies by C in the refinement of :meth:`solve`; by
-    default it is the dense product.
+    C_ii > 0, are divided out (:func:`factor_split`); the rest, with the
+    rows of E, form the factored Schur complement.  It is nonsingular when
+    E has full row rank and C is positive definite on null(E), which holds
+    exactly when :meth:`inertia` is (n, m, 0).  ``apply_C`` multiplies by
+    C in the refinement of :meth:`solve`.
     """
 
-    def __init__(
-        self,
-        C: np.ndarray,
-        E: np.ndarray,
-        divide: Optional[np.ndarray] = None,
-        apply_C: Optional[Callable] = None,
-    ):
+    def __init__(self, C: np.ndarray, E: np.ndarray, divide: np.ndarray, apply_C: Callable):
         self.C = np.asarray(C, dtype=float)
         self.E = np.atleast_2d(np.asarray(E, dtype=float))
-        self.apply_C = apply_C or self.C.__matmul__
-        if divide is None:
-            divide = diagonal_rows(self.C) & (np.diagonal(self.C) > 0.0)
+        self.apply_C = apply_C
         split = split_diagonal(self.C, self.E, divide)
         self.n_divided = split.sep.size
         self._solve, self._fact = factor_split(split, np.zeros(self.C.shape[0]), SingularKkt)

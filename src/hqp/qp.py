@@ -297,7 +297,6 @@ class StandardFormMap:
     scale: np.ndarray
     offset: np.ndarray
     n_original: int
-    n_standard: int
     objective_offset: float
     two_sided: np.ndarray
     span: np.ndarray
@@ -394,7 +393,6 @@ def to_standard_form(general: GeneralQp) -> tuple[QpProblem, StandardFormMap]:
         scale=scale,
         offset=offset,
         n_original=n0,
-        n_standard=n_std,
         objective_offset=objective_offset,
         two_sided=two_sided,
         span=span,

@@ -24,7 +24,6 @@ from hqp import (
     InstanceSpec,
     QpKktPoint,
     SolveStatus,
-    active_set_oracle,
     check_certificate,
     compute_theta,
     embed,
@@ -35,7 +34,9 @@ from hqp import (
 )
 from _support import (
     HqpKktPoint,
+    active_set_oracle,
     check_reduced_hessian_pd,
+    hqp_data_scale,
     hqp_kkt_residuals,
     lifted_hessian,
     lifted_nullspace_basis,
@@ -264,7 +265,7 @@ def test_criterion_5_theta_machinery():
 def _check_log_invariants(rec, failures):
     assert rec["error"] is None, f"{rec['kind']} n={rec['n']} seed={rec['seed']}: {rec['error']}"
     log = rec["result"].log
-    data_scale = 1.0 + rec["result"].hqp.data_scale()
+    data_scale = 1.0 + hqp_data_scale(rec["result"].hqp)
     config = IipmConfig()
     rows = log.rows
     for prev, cur in zip(rows, rows[1:]):

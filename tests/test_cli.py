@@ -1,10 +1,15 @@
 """Command-line interface: exit codes, documents, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hqp
 from hqp.cli import main
 
 
@@ -104,6 +109,15 @@ class TestSolve:
             )
         )
         assert run_cli("solve", str(bad)) == 4
+
+    @pytest.mark.parametrize(
+        "flag", ["--theta", "--zeta", "--beta", "--tol-mu", "--tol-res"]
+    )
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_nonfinite_setting_exit(self, workdir, capsys, flag, value):
+        path = gen(workdir, "feasible_sv", 5)
+        assert run_cli("solve", str(path), f"{flag}={value}") == 4
+        assert "finite" in json.loads(capsys.readouterr().out)["message"]
 
     def test_iteration_limit_exit(self, workdir):
         path = gen(workdir, "feasible_sv", 6)
@@ -219,6 +233,21 @@ class TestSolve:
         doc = json.loads(out.read_text())
         again = json.loads(json.dumps(doc))
         assert again == doc
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # A fresh interpreter, so that no other test's imports count.
+    src = str(Path(hqp.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import sys, hqp, hqp.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "False"
 
 
 class TestParser:
@@ -361,6 +390,14 @@ class TestCheck:
         sol = workdir / "s.json"
         sol.write_text(json.dumps({"status": "iteration_limit"}))
         assert run_cli("check", str(path), str(sol)) == 4
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1"])
+    def test_bad_tolerance_rejected(self, workdir, capsys, tol):
+        path = gen(workdir, "feasible_sv", 4)
+        out = workdir / "sol.json"
+        run_cli("solve", str(path), "--output", str(out))
+        assert run_cli("check", str(path), str(out), f"--tol={tol}") == 4
+        assert "--tol must be positive and finite" in capsys.readouterr().err
 
     def test_missing_solution_file(self, workdir):
         path = gen(workdir, "feasible_sv", 4)

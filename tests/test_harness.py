@@ -9,8 +9,6 @@ from hqp import (
     InstanceSpec,
     QpProblem,
     SolveStatus,
-    TooLarge,
-    active_set_oracle,
     check_certificate,
     generate,
     qp_kkt_residuals,
@@ -18,6 +16,7 @@ from hqp import (
     validate,
 )
 from hqp.qp import QpKktPoint
+from _support import TooLarge, active_set_oracle
 
 
 class TestGenerate:

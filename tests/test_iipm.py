@@ -73,6 +73,15 @@ class TestConfig:
             {"zeta": -1.0},
             {"tol_mu": 0.0},
             {"max_iter": 0},
+            {"gamma": float("nan")},
+            {"beta": float("nan")},
+            {"beta": float("inf")},
+            {"zeta": float("nan")},
+            {"zeta": float("inf")},
+            {"tol_mu": float("nan")},
+            {"tol_mu": float("inf")},
+            {"tol_res": float("nan")},
+            {"tol_res": float("inf")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -289,7 +298,7 @@ class TestSolve:
             assert outcome.diagnostics["hqp_objective"] <= 1e-9
 
     def test_no_equalities_pipeline(self):
-        from hqp import active_set_oracle, solve_qp
+        from _support import active_set_oracle
 
         prob = QpProblem(np.eye(3), [-1.0, 0.5, -2.0])
         result = solve_qp(prob)
@@ -522,7 +531,8 @@ class TestSolve:
         # C that is indefinite on R^n through a negative diagonal-only entry
         # keeps that row in the factored block; the slack variables of
         # to_standard_form have C_ii = 0 and pivot s_i / x_i alone.
-        from hqp import InfeasCertificate, active_set_oracle, check_certificate
+        from hqp import InfeasCertificate, check_certificate
+        from _support import active_set_oracle
 
         statuses = set()
         for seed in range(6):

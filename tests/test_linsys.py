@@ -41,8 +41,16 @@ from _support import (
 )
 
 
+def equality_kkt(C, E):
+    """linsys.EqualityKkt as validate builds it: every diagonal row with
+    C_ii > 0 divided out, and the dense product with C."""
+    C = np.asarray(C, dtype=float)
+    divide = linsys.diagonal_rows(C) & (np.diagonal(C) > 0.0)
+    return linsys.EqualityKkt(C, E, divide, C.__matmul__)
+
+
 def solve_equality_kkt(C, E, rhs_top, rhs_bot):
-    return linsys.EqualityKkt(C, E).solve(rhs_top, rhs_bot)
+    return equality_kkt(C, E).solve(rhs_top, rhs_bot)
 
 
 def null_basis(E):
@@ -597,7 +605,7 @@ class TestInertia:
             G = rng.standard_normal((block.size, block.size))
             C[np.ix_(block, block)] = G + G.T
             E = random_full_rank(rng, m, n)
-            kkt = linsys.EqualityKkt(C, E)
+            kkt = equality_kkt(C, E)
             expected = eig_inertia(kkt_matrix(C, E))
             assert kkt.inertia() == expected
             seen.add(expected == (n, m, 0))
@@ -610,6 +618,6 @@ class TestInertia:
         # Dependent rows leave a zero eigenvalue; a C that is indefinite on
         # null(E) moves one to the negative side.
         E = np.array([[1.0, 0.0, 1.0], [2.0, 0.0, 2.0]])
-        assert linsys.EqualityKkt(np.eye(3), E).inertia() == (3, 1, 1)
+        assert equality_kkt(np.eye(3), E).inertia() == (3, 1, 1)
         C = np.diag([1.0, -1.0, 1.0])
-        assert linsys.EqualityKkt(C, np.array([[1.0, 0.0, 0.0]])).inertia() == (2, 2, 0)
+        assert equality_kkt(C, np.array([[1.0, 0.0, 0.0]])).inertia() == (2, 2, 0)
