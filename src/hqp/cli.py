@@ -7,7 +7,8 @@ Solve exit codes: 0 optimal, 2 infeasible, 3 iteration limit, 4 bad input
 or failed validation, 5 numerical failure.  Check: 0 pass, 1 fail, 4 file
 or shape errors, including a vector entry that is not a finite number
 (``fileio.number_vector`` reads both files' number lists), or a ``--tol``
-that is not positive and finite.
+that is not positive and finite.  ``solve`` and ``gen`` exit 4, with an
+``error:`` line on stderr, when they cannot write their output file.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ EXIT_INFEASIBLE = 2
 EXIT_ITERATION_LIMIT = 3
 EXIT_INPUT = 4
 EXIT_NUMERICAL = 5
+_STATUS_EXIT = {
+    SolveStatus.OPTIMAL: EXIT_OPTIMAL,
+    SolveStatus.INFEASIBLE: EXIT_INFEASIBLE,
+    SolveStatus.ITERATION_LIMIT: EXIT_ITERATION_LIMIT,
+}
 
 
 @functools.cache
@@ -70,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the automatic embedding parameter (still convexity checked)",
     )
     p_solve.add_argument("--format", choices=("json", "text"), default="json")
-    p_solve.add_argument("--log", default=None, help="write the per-iteration CSV here")
     p_solve.add_argument("--output", default=None, help="write the solution document here")
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
@@ -108,17 +113,27 @@ def _solution_document(result, config: IipmConfig, status: str) -> dict:
     return doc
 
 
-def _emit(doc: dict, fmt: str, output) -> None:
-    if fmt == "json":
-        text = json.dumps(doc, allow_nan=False)
-    else:
-        text = _render_text(doc)
-    if output:
-        with open(output, "w") as fh:
+def _write(text: str, path, code: int) -> int:
+    """Write ``text`` and a newline to ``path``, or to stdout without a
+    path, and return ``code``; EXIT_INPUT, after an ``error:`` line on
+    stderr, when ``path`` cannot be written."""
+    if not path:
+        print(text)
+        return code
+    try:
+        with open(path, "w") as fh:
             fh.write(text)
             fh.write("\n")
-    else:
-        print(text)
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    return code
+
+
+def _emit(doc: dict, args, code: int) -> int:
+    """``doc`` in ``args.format`` through :func:`_write` to ``args.output``."""
+    text = json.dumps(doc, allow_nan=False) if args.format == "json" else _render_text(doc)
+    return _write(text, args.output, code)
 
 
 def _render_text(doc: dict) -> str:
@@ -157,8 +172,7 @@ def _cmd_solve(args) -> int:
             max_iter=args.max_iter,
         )
     except (ProblemFormatError, ValueError) as exc:
-        _emit({"status": "error", "message": str(exc)}, args.format, args.output)
-        return EXIT_INPUT
+        return _emit({"status": "error", "message": str(exc)}, args, EXIT_INPUT)
 
     try:
         result = solve_qp(problem, config, theta_override=args.theta)
@@ -169,23 +183,13 @@ def _cmd_solve(args) -> int:
             doc["iterations"] = exc.log.as_dicts()
         if getattr(exc, "report", None) is not None:
             doc["residuals"] = {"recovery": exc.report.as_dict()}
-        _emit(doc, args.format, args.output)
-        return EXIT_NUMERICAL
+        return _emit(doc, args, EXIT_NUMERICAL)
     except HqpError as exc:
         # Validation rejections: rank deficiency, indefiniteness, bad shapes.
-        _emit({"status": "error", "message": str(exc)}, args.format, args.output)
-        return EXIT_INPUT
+        return _emit({"status": "error", "message": str(exc)}, args, EXIT_INPUT)
 
-    if args.log:
-        result.log.to_csv(args.log)
     status = result.outcome.status
-    doc = _solution_document(result, config, status.value)
-    _emit(doc, args.format, args.output)
-    if status is SolveStatus.OPTIMAL:
-        return EXIT_OPTIMAL
-    if status is SolveStatus.INFEASIBLE:
-        return EXIT_INFEASIBLE
-    return EXIT_ITERATION_LIMIT
+    return _emit(_solution_document(result, config, status.value), args, _STATUS_EXIT[status])
 
 
 def _cmd_gen(args) -> int:
@@ -195,14 +199,7 @@ def _cmd_gen(args) -> int:
     except (ValueError, HqpError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    text = fileio.dumps_problem(problem)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
-    else:
-        print(text)
-    return 0
+    return _write(fileio.dumps_problem(problem), args.out, 0)
 
 
 def _load_solution(path) -> dict:

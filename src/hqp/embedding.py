@@ -251,26 +251,10 @@ class RecoveryReport:
             "gap": self.gap if np.isfinite(self.gap) else None,
             "certificate_scaled": self.certificate_scaled,
             "tol": self.tol,
-            "certificate": {
-                "r1_inf": float(np.linalg.norm(self.certificate.r1, np.inf))
-                if self.certificate.r1.size
-                else 0.0,
-                "r2": self.certificate.r2,
-                "r3": self.certificate.r3,
-            },
+            "certificate": self.certificate.norms(),
         }
         if self.kkt is not None:
-            out["kkt"] = {
-                "stat_inf": float(np.linalg.norm(self.kkt.r_stat, np.inf)),
-                "eq_inf": float(np.linalg.norm(self.kkt.r_eq, np.inf))
-                if self.kkt.r_eq.size
-                else 0.0,
-                "comp": self.kkt.r_comp,
-                "comp_min_inf": float(np.max(np.abs(self.kkt.comp_min)))
-                if self.kkt.comp_min.size
-                else 0.0,
-                "nonneg": self.kkt.r_nonneg,
-            }
+            out["kkt"] = self.kkt.norms()
         return out
 
 

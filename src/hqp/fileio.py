@@ -58,18 +58,6 @@ def _reject_constant(name):
     raise ProblemFormatError(f"non-finite number {name!r} is not allowed")
 
 
-def _require_number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ProblemFormatError(f"{where}: expected a number, got {value!r}")
-    try:
-        value = float(value)
-    except OverflowError:  # an integer literal beyond the float range
-        raise ProblemFormatError(f"{where}: number must be finite") from None
-    if not np.isfinite(value):
-        raise ProblemFormatError(f"{where}: number must be finite")
-    return value
-
-
 def _require_int(value, where: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ProblemFormatError(f"{where}: expected an integer, got {value!r}")
@@ -166,7 +154,7 @@ def problem_from_dict(doc: dict) -> QpProblem:
     C = _decode_matrix(doc["C"], n, n, "C")
     E = _decode_matrix(doc["E"], m, n, "E")
     bound = doc.get("min_eig_lower_bound")
-    if bound is not None and _require_number(bound, "min_eig_lower_bound") <= 0.0:
+    if bound is not None and number_vector([bound], "min_eig_lower_bound")[0] <= 0.0:
         raise ProblemFormatError(f"min_eig_lower_bound must be positive, got {bound}")
     try:
         return QpProblem(C, c, E if m else None, f if m else None)

@@ -10,7 +10,6 @@ complementarity product above gamma times the average.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
@@ -20,10 +19,7 @@ import numpy as np
 from . import linsys
 from .embedding import HqpProblem, SolveOutcome, SolveStatus, record_dict, recover
 from .errors import AmbiguousStatus, SingularNewton, StepSearchFailed
-
-# CSV columns of the per-iteration log (the record carries extra fields,
-# serialized only in JSON output).
-LOG_CSV_COLUMNS = ("k", "mu", "rd_norm", "rp_norm", "alpha", "sigma", "nbhd_ratio", "upsilon")
+from .qp import inf_norm
 
 # The safeguard of Salahi, Peng and Terlaky (SIAM J. Optim., 2007): a
 # second-order corrected direction whose positivity boundary or accepted
@@ -125,9 +121,7 @@ class IipmIterate:
         return float(np.sqrt(self.r_d @ self.r_d + self.r_p @ self.r_p))
 
     def residual_norm_inf(self) -> float:
-        rd = np.linalg.norm(self.r_d, np.inf) if self.r_d.size else 0.0
-        rp = np.linalg.norm(self.r_p, np.inf) if self.r_p.size else 0.0
-        return float(max(rd, rp))
+        return max(inf_norm(self.r_d), inf_norm(self.r_p))
 
 
 class NeighborhoodCheck(NamedTuple):
@@ -308,30 +302,11 @@ class IterationLog:
     def as_dicts(self) -> list:
         return [r.as_dict() for r in self.rows]
 
-    def to_csv(self, target) -> None:
-        """Write the documented CSV columns to a path or file object."""
-        if hasattr(target, "write"):
-            self._write_csv(target)
-        else:
-            with open(target, "w", newline="") as fh:
-                self._write_csv(fh)
-
-    def _write_csv(self, fh) -> None:
-        writer = csv.writer(fh)
-        writer.writerow(LOG_CSV_COLUMNS)
-        for r in self.rows:
-            writer.writerow([getattr(r, col) for col in LOG_CSV_COLUMNS])
-
 
 def automatic_zeta(hqp: HqpProblem) -> float:
     """Data-scaled radius for the all-ones start: max(10, ||c||, ||f||, theta)."""
     problem = hqp.parent.problem
-    parts = [10.0, hqp.theta]
-    if problem.n:
-        parts.append(np.linalg.norm(problem.c, np.inf))
-    if problem.m:
-        parts.append(np.linalg.norm(problem.f, np.inf))
-    return float(max(parts))
+    return float(max(10.0, inf_norm(problem.c), inf_norm(problem.f), hqp.theta))
 
 
 def solve(
@@ -391,14 +366,8 @@ def solve(
             decay_rel_err=decay_err,
             decay_abs_err=decay_abs,
             newton_rel_resid=float("nan"),
-            iterate_scale=float(
-                1.0
-                + max(
-                    np.linalg.norm(iterate.x, np.inf),
-                    np.linalg.norm(iterate.s, np.inf),
-                    np.linalg.norm(iterate.lam, np.inf) if iterate.lam.size else 0.0,
-                )
-            ),
+            iterate_scale=1.0
+            + max(inf_norm(iterate.x), inf_norm(iterate.s), inf_norm(iterate.lam)),
         )
         log.append(record)
 
@@ -408,7 +377,7 @@ def solve(
             except AmbiguousStatus as exc:
                 ambiguous = (str(exc), exc.report)
             else:
-                _final_diagnostics(outcome, hqp, iterate, k, zeta, True)
+                _final_diagnostics(outcome, hqp, iterate, record, zeta, True)
                 return outcome, log
         if k == config.max_iter:
             break
@@ -458,17 +427,18 @@ def solve(
     if ambiguous is not None:
         raise unresolved(f"iteration limit {config.max_iter} reached")
     outcome = SolveOutcome(status=SolveStatus.ITERATION_LIMIT)
-    _final_diagnostics(outcome, hqp, iterate, config.max_iter, zeta, False)
+    _final_diagnostics(outcome, hqp, iterate, record, zeta, False)
     return outcome, log
 
 
-def _final_diagnostics(outcome, hqp, iterate, iterations, zeta, converged):
+def _final_diagnostics(outcome, hqp, iterate, row, zeta, converged):
+    """Run statistics of the terminal iterate, whose log row is ``row``."""
     outcome.diagnostics.update(
         {
-            "iterations": iterations,
-            "mu": iterate.mu,
-            "rd_norm": float(np.linalg.norm(iterate.r_d)),
-            "rp_norm": float(np.linalg.norm(iterate.r_p)),
+            "iterations": row.k,
+            "mu": row.mu,
+            "rd_norm": row.rd_norm,
+            "rp_norm": row.rp_norm,
             "residual_inf": iterate.residual_norm_inf(),
             "hqp_objective": hqp.objective(iterate.x),
             "zeta": zeta,

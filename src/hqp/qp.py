@@ -28,6 +28,11 @@ from .errors import (
 )
 
 
+def inf_norm(v: np.ndarray) -> float:
+    """max |v_i|, 0.0 for an empty vector; NaN when any entry is NaN."""
+    return float(np.abs(v).max(initial=0.0))
+
+
 def _vector(a, name: str) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim == 0:
@@ -91,16 +96,9 @@ class QpProblem:
 
     def data_scale(self) -> float:
         """Infinity-norm scale of the problem data, used to relativize tolerances."""
-        scale = max(
-            self.row_abs_sums.max(initial=0.0),
-            np.linalg.norm(self.c, np.inf) if self.n else 0.0,
-        )
+        scale = max(self.row_abs_sums.max(initial=0.0), inf_norm(self.c), inf_norm(self.f))
         if self.m:
-            scale = max(
-                scale,
-                np.linalg.norm(self.E, np.inf),
-                np.linalg.norm(self.f, np.inf),
-            )
+            scale = max(scale, np.linalg.norm(self.E, np.inf))
         return float(scale)
 
     def __repr__(self):
@@ -203,16 +201,21 @@ class KktResiduals:
     comp_min: np.ndarray
     r_nonneg: float
 
+    def norms(self) -> dict:
+        """The reported sizes of the residuals; NaN propagates."""
+        return {
+            "stat_inf": inf_norm(self.r_stat),
+            "eq_inf": inf_norm(self.r_eq),
+            "comp": self.r_comp,
+            "comp_min_inf": inf_norm(self.comp_min),
+            "nonneg": self.r_nonneg,
+        }
+
     def max_violation(self) -> float:
-        """Largest residual; NaN when any residual is NaN."""
-        parts = [self.r_nonneg]
-        if self.r_stat.size:
-            parts.append(np.linalg.norm(self.r_stat, np.inf))
-        if self.r_eq.size:
-            parts.append(np.linalg.norm(self.r_eq, np.inf))
-        if self.comp_min.size:
-            parts.append(np.max(np.abs(self.comp_min)))
-        return float(np.max(parts))
+        """Largest residual other than r_comp; NaN when any residual is NaN."""
+        norms = self.norms()
+        del norms["comp"]
+        return float(np.max(list(norms.values())))
 
 
 def qp_kkt_residuals(problem: QpProblem, point: QpKktPoint) -> KktResiduals:
@@ -245,10 +248,14 @@ class CertificateResiduals:
     r2: float
     r3: float
 
+    def norms(self) -> dict:
+        """The reported sizes of the residuals; NaN propagates."""
+        return {"r1_inf": inf_norm(self.r1), "r2": self.r2, "r3": self.r3}
+
     def max_violation(self) -> float:
         """Largest residual; NaN when any residual is NaN."""
-        r1 = np.linalg.norm(self.r1, np.inf) if self.r1.size else 0.0
-        return float(np.max([r1, abs(self.r2), self.r3]))
+        norms = self.norms()
+        return float(np.max([norms["r1_inf"], abs(norms["r2"]), norms["r3"]]))
 
     def accepted(self, tol: float) -> bool:
         return self.max_violation() <= tol

@@ -1,7 +1,9 @@
 """Command-line interface: exit codes, documents, round trips."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +22,10 @@ def run_cli(*argv):
 @pytest.fixture
 def workdir(tmp_path):
     return tmp_path
+
+
+def assert_one_error_line(err):
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def gen(workdir, kind, n, seed=0):
@@ -46,6 +52,11 @@ class TestGen:
         assert run_cli("gen", "feasible_sv", "3", "--seed", "2") == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["n"] == 3
+
+    def test_unwritable_out_exits_4(self, workdir, capsys):
+        out = workdir / "missing" / "p.json"
+        assert run_cli("gen", "feasible_sv", "3", "--out", str(out)) == 4
+        assert_one_error_line(capsys.readouterr().err)
 
 
 class TestSolve:
@@ -192,19 +203,20 @@ class TestSolve:
         )
         assert run_cli("solve", str(prob)) == 4
 
+    @pytest.mark.parametrize("n, seed, extra", [(4, 0, ()), (10, 12, ("--max-iter", "12"))])
+    def test_unwritable_output_exits_4(self, workdir, capsys, n, seed, extra):
+        # A solution document (exit 0 when written) and an error document
+        # (exit 5): neither can be written.
+        path = gen(workdir, "feasible_sv", n, seed)
+        out = workdir / "missing" / "s.json"
+        assert run_cli("solve", str(path), "--output", str(out), *extra) == 4
+        assert_one_error_line(capsys.readouterr().err)
+
     def test_text_format(self, workdir, capsys):
         path = gen(workdir, "feasible_sv", 4)
         assert run_cli("solve", str(path), "--format", "text") == 0
         out = capsys.readouterr().out
         assert "status: optimal" in out
-
-    def test_log_csv_written(self, workdir):
-        path = gen(workdir, "feasible_sv", 4)
-        log = workdir / "run.csv"
-        assert run_cli("solve", str(path), "--log", str(log), "--output", str(workdir / "s.json")) == 0
-        lines = log.read_text().strip().splitlines()
-        assert lines[0] == "k,mu,rd_norm,rp_norm,alpha,sigma,nbhd_ratio,upsilon"
-        assert len(lines) >= 3
 
     def test_document_lists_each_record_field(self, workdir):
         # Each record is written field by field, in declaration order, as
@@ -248,6 +260,24 @@ def test_import_leaves_scipy_optimize_unloaded():
         check=True,
     ).stdout
     assert out.strip() == "False"
+
+
+def test_readme_lists_every_solve_flag():
+    # The "Solver flags" paragraph of the README names exactly the options
+    # of `hqp solve`, so a deleted flag cannot stay documented.
+    from hqp.cli import build_parser
+
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("Solver flags") :].split("\n\n")[0]
+    documented = set(re.findall(r"`(--[a-z][a-z-]*)", paragraph))
+    solve = build_parser()._subparsers._group_actions[0].choices["solve"]
+    options = {
+        option
+        for action in solve._actions
+        if not isinstance(action, argparse._HelpAction)
+        for option in action.option_strings
+    }
+    assert documented == options
 
 
 class TestParser:

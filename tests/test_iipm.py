@@ -1,7 +1,5 @@
 """Interior-point iteration: residuals, neighborhood, steps, full solves."""
 
-import io
-
 import numpy as np
 import pytest
 
@@ -25,7 +23,6 @@ from hqp import (
 )
 from hqp.embedding import manual_theta_report
 from hqp.iipm import (
-    LOG_CSV_COLUMNS,
     SIGMA_MAX,
     SIGMA_MIN,
     automatic_zeta,
@@ -584,19 +581,6 @@ class TestSolve:
         outcome, log = solve(h, IipmConfig(zeta=25.0))
         assert outcome.diagnostics["zeta"] == 25.0
         assert log.rows[0].mu == pytest.approx(625.0)
-
-
-class TestIterationLogCsv:
-    def test_columns_and_rows(self):
-        h = one_var_hqp(theta=2.0)
-        _, log = solve(h)
-        buf = io.StringIO()
-        log.to_csv(buf)
-        lines = buf.getvalue().strip().splitlines()
-        assert lines[0] == ",".join(LOG_CSV_COLUMNS)
-        assert len(lines) == len(log.rows) + 1
-        first = lines[1].split(",")
-        assert first[0] == "0"
 
 
 class TestNullspaceSelfConsistency:

@@ -19,7 +19,7 @@ from hqp import (
     validate,
 )
 
-from hqp.qp import CertificateResiduals, KktResiduals
+from hqp.qp import CertificateResiduals, KktResiduals, inf_norm
 
 from _support import (
     null_space_and_min_norm,
@@ -199,6 +199,28 @@ class TestKktResiduals:
         )
 
 
+class TestInfNorm:
+    def test_empty_is_zero(self):
+        assert inf_norm(np.zeros(0)) == 0.0
+
+    def test_nan_propagates(self):
+        assert np.isnan(inf_norm(np.array([1.0, np.nan, -2.0])))
+
+    def test_matches_numpy_bitwise(self):
+        rng = np.random.default_rng(5)
+        for size in (1, 2, 7, 100):
+            v = rng.standard_normal(size) * 10.0 ** rng.integers(-300, 300)
+            assert inf_norm(v) == float(np.linalg.norm(v, np.inf))
+
+    def test_kkt_norms_without_equalities(self):
+        p = QpProblem(np.eye(2), [1.0, -1.0])
+        r = qp_kkt_residuals(p, QpKktPoint(np.array([0.0, 1.0]), np.zeros(0), np.array([1.0, 0.0])))
+        norms = r.norms()
+        assert norms["eq_inf"] == 0.0
+        assert norms["stat_inf"] == 0.0
+        assert r.max_violation() == 0.0
+
+
 class TestMaxViolation:
     @pytest.mark.parametrize("field", ["r_stat", "r_eq", "comp_min", "r_nonneg"])
     def test_kkt_nan_is_not_dropped(self, field):
@@ -206,13 +228,17 @@ class TestMaxViolation:
             r_stat=np.zeros(2), r_eq=np.zeros(1), r_comp=0.0, comp_min=np.zeros(2), r_nonneg=0.0
         )
         parts[field] = np.full_like(parts[field], np.nan) if field != "r_nonneg" else np.nan
-        assert not np.isfinite(KktResiduals(**parts).max_violation())
+        residuals = KktResiduals(**parts)
+        assert not np.isfinite(residuals.max_violation())
+        assert not all(np.isfinite(v) for v in residuals.norms().values())
 
     @pytest.mark.parametrize("field", ["r1", "r2", "r3"])
     def test_certificate_nan_is_not_dropped(self, field):
         parts = dict(r1=np.zeros(2), r2=0.0, r3=0.0)
         parts[field] = np.full(2, np.nan) if field == "r1" else np.nan
-        assert not np.isfinite(CertificateResiduals(**parts).max_violation())
+        residuals = CertificateResiduals(**parts)
+        assert not np.isfinite(residuals.max_violation())
+        assert not all(np.isfinite(v) for v in residuals.norms().values())
 
     def test_nan_point_fails(self):
         p = worked_problem()
