@@ -22,13 +22,14 @@ from .errors import (
     FreeVariable,
     HqpError,
     NotReducedPd,
+    NumericalFailure,
     ProblemFormatError,
     RankDeficient,
     SingularKkt,
     SingularNewton,
     StepSearchFailed,
 )
-from .iipm import IipmConfig, IipmIterate, IterationLog
+from .iipm import IipmConfig, IipmIterate
 from .instances import InstanceKind, InstanceSpec, generate
 from .pipeline import SolveResult, solve_qp
 from .qp import (
@@ -57,8 +58,8 @@ __all__ = [
     "InfeasCertificate",
     "InstanceKind",
     "InstanceSpec",
-    "IterationLog",
     "NotReducedPd",
+    "NumericalFailure",
     "ProblemFormatError",
     "QpKktPoint",
     "QpProblem",

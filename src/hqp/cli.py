@@ -4,16 +4,17 @@ Subcommands: ``solve`` a problem file, ``gen`` a random instance, and
 ``check`` a solution document against its problem.
 
 Solve exit codes: 0 optimal, 2 infeasible, 3 iteration limit, 4 bad input
-or failed validation, 5 numerical failure.  Check: 0 pass, 1 fail, 4 file
-or shape errors, including a vector entry that is not a finite number
-(``fileio.number_vector`` reads both files' number lists), or a ``--tol``
-that is not positive and finite.  ``solve`` and ``gen`` exit 4, with an
+or failed validation, 5 numerical failure (``errors.NumericalFailure``).
+Check: 0 pass, 1 fail, 4 file or shape errors, including a vector entry
+that is not a finite number (``fileio.number_vector`` reads both files'
+number lists), or a ``--tol`` that is not positive and finite.  ``solve`` and ``gen`` exit 4, with an
 ``error:`` line on stderr, when they cannot write their output file.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -21,14 +22,7 @@ import sys
 
 from . import fileio
 from .embedding import SolveStatus
-from .errors import (
-    AmbiguousStatus,
-    HqpError,
-    ProblemFormatError,
-    SingularKkt,
-    SingularNewton,
-    StepSearchFailed,
-)
+from .errors import HqpError, NumericalFailure, ProblemFormatError
 from .iipm import IipmConfig
 from .instances import InstanceKind, InstanceSpec, generate
 from .pipeline import solve_qp
@@ -65,12 +59,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="solve a problem file")
     p_solve.add_argument("problem", help="path to a problem JSON file")
-    p_solve.add_argument("--tol-mu", type=float, default=1e-8)
-    p_solve.add_argument("--tol-res", type=float, default=1e-8)
-    p_solve.add_argument("--gamma", type=float, default=1e-3)
-    p_solve.add_argument("--beta", type=float, default=2.0)
-    p_solve.add_argument("--max-iter", type=int, default=200)
-    p_solve.add_argument("--zeta", type=float, default=None)
+    for f in dataclasses.fields(IipmConfig):
+        kind = float if f.default is None else type(f.default)
+        p_solve.add_argument("--" + f.name.replace("_", "-"), type=kind, default=f.default)
     p_solve.add_argument(
         "--theta", type=float, default=None,
         help="override the automatic embedding parameter (still convexity checked)",
@@ -98,7 +89,7 @@ def _solution_document(result, config: IipmConfig, status: str) -> dict:
         "status": status,
         "theta_report": result.theta_report.as_dict(),
         "residuals": outcome.diagnostics.copy(),
-        "iterations": result.log.as_dicts(),
+        "iterations": [row.as_dict() for row in result.log],
         "config_echo": config.as_dict(),
     }
     if outcome.recovery is not None:
@@ -164,24 +155,19 @@ def _cmd_solve(args) -> int:
     try:
         problem = fileio.load_problem(args.problem)
         config = IipmConfig(
-            gamma=args.gamma,
-            beta=args.beta,
-            zeta=args.zeta,
-            tol_mu=args.tol_mu,
-            tol_res=args.tol_res,
-            max_iter=args.max_iter,
+            **{f.name: getattr(args, f.name) for f in dataclasses.fields(IipmConfig)}
         )
     except (ProblemFormatError, ValueError) as exc:
         return _emit({"status": "error", "message": str(exc)}, args, EXIT_INPUT)
 
     try:
         result = solve_qp(problem, config, theta_override=args.theta)
-    except (SingularKkt, SingularNewton, StepSearchFailed, AmbiguousStatus) as exc:
+    except NumericalFailure as exc:
         # Keep the partial log and the recovery scores the solve attached.
         doc = {"status": "error", "message": str(exc)}
-        if getattr(exc, "log", None) is not None:
-            doc["iterations"] = exc.log.as_dicts()
-        if getattr(exc, "report", None) is not None:
+        if exc.log is not None:
+            doc["iterations"] = [row.as_dict() for row in exc.log]
+        if exc.report is not None:
             doc["residuals"] = {"recovery": exc.report.as_dict()}
         return _emit(doc, args, EXIT_NUMERICAL)
     except HqpError as exc:

@@ -161,49 +161,34 @@ class HqpProblem:
         return float(0.5 * x @ self.apply_hessian(x) + self.q @ x)
 
 
-def compute_theta(validated: ValidatedProblem) -> ThetaReport:
-    """Choose the embedding parameter.
+def compute_theta(validated: ValidatedProblem, theta: Optional[float] = None) -> ThetaReport:
+    """Choose the embedding parameter, or check a user-supplied one.
 
-    theta = (1 + THETA_MARGIN) * max(2|theta_star|, THETA_FLOOR).  On
-    null([E, -f]) at tau = 1 the lifted quadratic form is y'Cy + 2c'y +
-    theta with Ey = f, whose minimum over y is theta + 2 theta_star, and C
-    is positive definite on null(E) after validation; so the lifted
-    Hessian is positive definite there exactly when theta > -2 theta_star,
-    which 2|theta_star| already bounds.  The floor keeps theta strictly
-    positive.
+    Without ``theta``: theta = (1 + THETA_MARGIN) * max(2|theta_star|,
+    THETA_FLOOR).  On null([E, -f]) at tau = 1 the lifted quadratic form is
+    y'Cy + 2c'y + theta with Ey = f, whose minimum over y is theta + 2
+    theta_star, and C is positive definite on null(E) after validation; so
+    the lifted Hessian is positive definite there exactly when theta > -2
+    theta_star, which 2|theta_star| already bounds.  The floor keeps theta
+    strictly positive.
+
+    A supplied ``theta`` must be positive and finite and pass that exact
+    convexity test, or NotReducedPd is raised; the magnitude condition
+    theta > 2|theta_star| is not enforced, since a nonconvex lift is the
+    only hard failure mode.
     """
     theta_star = validated.theta_star
-    condition1_rhs = 2.0 * abs(theta_star)
-    theta = (1.0 + THETA_MARGIN) * max(condition1_rhs, THETA_FLOOR)
-    return ThetaReport(
-        theta_star=theta_star,
-        condition1_rhs=condition1_rhs,
-        theta=float(theta),
-        margin=THETA_MARGIN,
-    )
-
-
-def embed(validated: ValidatedProblem, theta_report: ThetaReport) -> HqpProblem:
-    """Build the lifted standard-form program for a chosen theta:
-    q = (0, -theta) and A = [E, -f]."""
-    problem = validated.problem
-    q = np.zeros(problem.n + 1)
-    q[-1] = -theta_report.theta
-    A = np.hstack([problem.E, -problem.f[:, None]])
-    return HqpProblem(q=q, A=A, theta_report=theta_report, parent=validated)
-
-
-def manual_theta_report(validated: ValidatedProblem, theta: float) -> ThetaReport:
-    """Wrap a user-supplied theta, refusing values that break convexity.
-
-    The lifted Hessian is positive definite on null([E, -f]) exactly when
-    theta > -2 theta_star (:func:`compute_theta`).  That test is always
-    run; the magnitude condition theta > 2|theta_star| is reported but not
-    enforced, since a nonconvex lift is the only hard failure mode.
-    """
+    if theta is None:
+        condition1_rhs = 2.0 * abs(theta_star)
+        theta = (1.0 + THETA_MARGIN) * max(condition1_rhs, THETA_FLOOR)
+        return ThetaReport(
+            theta_star=theta_star,
+            condition1_rhs=condition1_rhs,
+            theta=float(theta),
+            margin=THETA_MARGIN,
+        )
     if not 0.0 < theta < math.inf:
         raise NotReducedPd(f"theta must be positive and finite, got {theta}")
-    theta_star = validated.theta_star
     if theta <= -2.0 * theta_star:
         raise NotReducedPd(
             f"supplied theta {theta} leaves the reduced Hessian indefinite "
@@ -216,6 +201,16 @@ def manual_theta_report(validated: ValidatedProblem, theta: float) -> ThetaRepor
         margin=0.0,
         override=True,
     )
+
+
+def embed(validated: ValidatedProblem, theta_report: ThetaReport) -> HqpProblem:
+    """Build the lifted standard-form program for a chosen theta:
+    q = (0, -theta) and A = [E, -f]."""
+    problem = validated.problem
+    q = np.zeros(problem.n + 1)
+    q[-1] = -theta_report.theta
+    A = np.hstack([problem.E, -problem.f[:, None]])
+    return HqpProblem(q=q, A=A, theta_report=theta_report, parent=validated)
 
 
 class SolveStatus(str, enum.Enum):

@@ -22,30 +22,34 @@ class NotReducedPd(HqpError):
     """Hessian is not positive definite on the constraint null space."""
 
 
-class SingularKkt(HqpError):
-    """Equality-constrained KKT system could not be solved accurately."""
-
-
-class SingularNewton(HqpError):
-    """Interior-point Newton system could not be solved accurately."""
-
-
 class FreeVariable(HqpError):
     """A variable without any finite bound cannot be put in standard form."""
 
 
-class StepSearchFailed(HqpError):
-    """No acceptable step length was found; signals numerical breakdown."""
+class NumericalFailure(HqpError):
+    """A solve broke down numerically (``hqp solve`` exit 5).
 
-    def __init__(self, message, log=None):
-        super().__init__(message)
-        self.log = log
-
-
-class AmbiguousStatus(HqpError):
-    """Neither optimal-point nor certificate recovery met tolerance."""
+    ``report`` is the last recovery report and ``log`` the iteration rows
+    up to the failure, when the solve got that far.
+    """
 
     def __init__(self, message, report=None, log=None):
         super().__init__(message)
         self.report = report
         self.log = log
+
+
+class SingularKkt(NumericalFailure):
+    """Equality-constrained KKT system could not be solved accurately."""
+
+
+class SingularNewton(NumericalFailure):
+    """Interior-point Newton system could not be solved accurately."""
+
+
+class StepSearchFailed(NumericalFailure):
+    """No acceptable step length was found; signals numerical breakdown."""
+
+
+class AmbiguousStatus(NumericalFailure):
+    """Neither optimal-point nor certificate recovery met tolerance."""

@@ -287,22 +287,6 @@ class IterationRecord:
         return record_dict(self)
 
 
-@dataclass
-class IterationLog:
-    """Append-only per-iteration records for reproduction and diagnostics."""
-
-    rows: list = field(default_factory=list)
-
-    def append(self, record: IterationRecord) -> None:
-        self.rows.append(record)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def as_dicts(self) -> list:
-        return [r.as_dict() for r in self.rows]
-
-
 def automatic_zeta(hqp: HqpProblem) -> float:
     """Data-scaled radius for the all-ones start: max(10, ||c||, ||f||, theta)."""
     problem = hqp.parent.problem
@@ -311,8 +295,9 @@ def automatic_zeta(hqp: HqpProblem) -> float:
 
 def solve(
     hqp: HqpProblem, config: Optional[IipmConfig] = None
-) -> tuple[SolveOutcome, IterationLog]:
-    """Run the interior-point iteration from the all-ones start.
+) -> tuple[SolveOutcome, list[IterationRecord]]:
+    """Run the interior-point iteration from the all-ones start, and
+    return the outcome with the log, one record per iterate.
 
     Once mu <= tol_mu and the residual norm has dropped below tol_res
     relative to its initial size, every iterate is classified through
@@ -330,7 +315,7 @@ def solve(
     iterate = IipmIterate.compute(hqp, zeta * ones, np.zeros(hqp.A.shape[0]), zeta * ones)
     r0_norm = iterate.residual_norm()
     mu0 = iterate.mu
-    log = IterationLog()
+    log = []
 
     nbhd = in_neighborhood(iterate, config, r0_norm, mu0)
     upsilon = 1.0

@@ -61,32 +61,20 @@ class AugmentedFactorization:
     def inertia(self) -> tuple[int, int, int]:
         """(positive, negative, zero) eigenvalue counts of the matrix.
 
-        By Sylvester's law they are those of the block-diagonal D.  With the
-        upper triangle factored, a 2x2 block occupies rows i, i+1 with
-        ``piv[i] = piv[i+1] < 0``, and its off-diagonal entry is stored
-        above the diagonal, at (i, i+1).
+        By Sylvester's law they are those of the block-diagonal D.  A 1x1
+        block is a diagonal entry with ``piv[i] > 0``; a 2x2 block occupies
+        rows i, i+1 with ``piv[i] = piv[i+1] < 0``.  Bunch and Kaufman
+        choose a 2x2 pivot [[a, b], [b, c]] only when |a c| < alpha^2 b^2,
+        alpha = (1 + sqrt(17)) / 8 < 1, so its determinant is negative: one
+        eigenvalue of each sign.
         """
-        ldu, piv = self._ldu, self._piv
-        counts = [0, 0, 0]
-        i = 0
-        while i < piv.size:
-            if piv[i] > 0:
-                d = ldu[i, i]
-                counts[0 if d > 0.0 else 1 if d < 0.0 else 2] += 1
-                i += 1
-                continue
-            a, b, c = ldu[i, i], ldu[i, i + 1], ldu[i + 1, i + 1]
-            det = a * c - b * b
-            if det < 0.0:
-                counts[0] += 1
-                counts[1] += 1
-            elif det > 0.0:
-                counts[0 if a > 0.0 else 1] += 2
-            else:
-                counts[2] += 1
-                counts[0 if a + c > 0.0 else 1 if a + c < 0.0 else 2] += 1
-            i += 2
-        return tuple(counts)
+        d = np.diagonal(self._ldu)[self._piv > 0]
+        pairs = int(np.count_nonzero(self._piv < 0)) // 2
+        return (
+            int(np.count_nonzero(d > 0.0)) + pairs,
+            int(np.count_nonzero(d < 0.0)) + pairs,
+            int(np.count_nonzero(d == 0.0)),
+        )
 
     def backsolve(self, rhs: np.ndarray) -> np.ndarray:
         """Raw backsolve without the residual guarantee."""

@@ -6,16 +6,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import iipm
-from .embedding import (
-    HqpProblem,
-    SolveOutcome,
-    ThetaReport,
-    compute_theta,
-    embed,
-    manual_theta_report,
-)
-from .iipm import IipmConfig, IterationLog
-from .qp import QpProblem, ValidatedProblem, validate
+from .embedding import HqpProblem, SolveOutcome, ThetaReport, compute_theta, embed
+from .iipm import IipmConfig, IterationRecord
+from .qp import QpProblem, validate
 
 
 @dataclass
@@ -23,9 +16,8 @@ class SolveResult:
     """Everything a caller needs to report or reproduce a solve."""
 
     outcome: SolveOutcome
-    log: IterationLog
+    log: list[IterationRecord]
     theta_report: ThetaReport
-    validated: ValidatedProblem
     hqp: HqpProblem
 
 
@@ -42,16 +34,7 @@ def solve_qp(
     null space.
     """
     validated = validate(problem)
-    if theta_override is not None:
-        report = manual_theta_report(validated, theta_override)
-    else:
-        report = compute_theta(validated)
+    report = compute_theta(validated, theta_override)
     hqp = embed(validated, report)
     outcome, log = iipm.solve(hqp, config)
-    return SolveResult(
-        outcome=outcome,
-        log=log,
-        theta_report=report,
-        validated=validated,
-        hqp=hqp,
-    )
+    return SolveResult(outcome=outcome, log=log, theta_report=report, hqp=hqp)

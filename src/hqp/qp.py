@@ -133,9 +133,9 @@ class InfeasCertificate:
 
     def check_dims(self, problem: QpProblem) -> None:
         if self.nu.shape != (problem.m,):
-            raise DimensionMismatch(f"nu must have length {problem.m}")
+            raise DimensionMismatch(f"cert_nu must have length {problem.m}")
         if self.xi.shape != (problem.n,):
-            raise DimensionMismatch(f"xi must have length {problem.n}")
+            raise DimensionMismatch(f"cert_xi must have length {problem.n}")
 
 
 @dataclass(frozen=True)
@@ -256,9 +256,6 @@ class CertificateResiduals:
         """Largest residual; NaN when any residual is NaN."""
         norms = self.norms()
         return float(np.max([norms["r1_inf"], abs(norms["r2"]), norms["r3"]]))
-
-    def accepted(self, tol: float) -> bool:
-        return self.max_violation() <= tol
 
 
 def check_certificate(

@@ -398,7 +398,7 @@ def check_iterate_norm_bound(log, iterates, zeta, beta, dim, x_final, s_final):
     applicable = zeta >= star_norm
     violations = []
     slack = []
-    for r, it in zip(log.rows, iterates, strict=True):
+    for r, it in zip(log, iterates, strict=True):
         lhs = zeta * r.upsilon * float(np.sum(np.abs(it.x)) + np.sum(np.abs(it.s)))
         rhs = 4.0 * beta * dim * r.mu
         slack.append(rhs - lhs)

@@ -267,7 +267,7 @@ def _check_log_invariants(rec, failures):
     log = rec["result"].log
     data_scale = 1.0 + hqp_data_scale(rec["result"].hqp)
     config = IipmConfig()
-    rows = log.rows
+    rows = log
     for prev, cur in zip(rows, rows[1:]):
         where = f"{rec['kind']} n={rec['n']} seed={rec['seed']} k={cur.k}"
         if not cur.nbhd_ratio <= config.beta * (1 + 1e-9):
@@ -293,7 +293,7 @@ def test_criterion_6_per_iteration_invariants(
     for batch in (infeasible_default, feasible_default, feasible_tight):
         for rec in batch:
             _check_log_invariants(rec, failures)
-            total_rows += len(rec["result"].log.rows)
+            total_rows += len(rec["result"].log)
             runs += 1
     assert not failures, "\n".join(failures[:20])
     print(

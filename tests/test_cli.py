@@ -218,6 +218,26 @@ class TestSolve:
         out = capsys.readouterr().out
         assert "status: optimal" in out
 
+    def test_text_format_infeasible(self, workdir, capsys):
+        path = gen(workdir, "infeasible_sv", 4)
+        out = workdir / "sol.json"
+        assert run_cli("solve", str(path), "--output", str(out)) == 2
+        doc = json.loads(out.read_text())
+        capsys.readouterr()
+        assert run_cli("solve", str(path), "--format", "text") == 2
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "status: infeasible"
+        assert f"certificate nu: {doc['cert_nu']}" in lines
+        assert f"certificate xi: {doc['cert_xi']}" in lines
+        assert not any(line.startswith(("y:", "message:")) for line in lines)
+
+    def test_text_format_error_document(self, workdir, capsys):
+        path = gen(workdir, "feasible_sv", 4)
+        assert run_cli("solve", str(path), "--gamma", "2", "--format", "text") == 4
+        assert capsys.readouterr().out == (
+            "status: error\nmessage: gamma must lie in (0, 1), got 2.0\n"
+        )
+
     def test_document_lists_each_record_field(self, workdir):
         # Each record is written field by field, in declaration order, as
         # one line of compact JSON.
@@ -264,7 +284,12 @@ def test_import_leaves_scipy_optimize_unloaded():
 
 def test_readme_lists_every_solve_flag():
     # The "Solver flags" paragraph of the README names exactly the options
-    # of `hqp solve`, so a deleted flag cannot stay documented.
+    # of `hqp solve`, so a deleted flag cannot stay documented.  Each
+    # default it states is the parser's, and the parser's defaults are
+    # IipmConfig's.
+    from dataclasses import fields
+
+    from hqp import IipmConfig
     from hqp.cli import build_parser
 
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -278,6 +303,14 @@ def test_readme_lists_every_solve_flag():
         for option in action.option_strings
     }
     assert documented == options
+
+    stated = dict(re.findall(r"`--([a-z][a-z-]*)`\s+\(([-+.\w]+)\)", paragraph))
+    for f in fields(IipmConfig):
+        default = solve.get_default(f.name)
+        assert default == f.default and type(default) is type(f.default), f.name
+        text = stated.pop(f.name.replace("_", "-"))
+        assert (default is None) if text == "auto" else (default == float(text)), f.name
+    assert not stated
 
 
 class TestParser:
@@ -432,3 +465,32 @@ class TestCheck:
     def test_missing_solution_file(self, workdir):
         path = gen(workdir, "feasible_sv", 4)
         assert run_cli("check", str(path), str(workdir / "nope.json")) == 4
+
+    @pytest.mark.parametrize(
+        "kind, code, field, change",
+        [
+            ("feasible_sv", 0, "y", lambda v: v[:-1]),
+            ("infeasible_sv", 2, "cert_nu", lambda v: v + [0.0]),
+        ],
+    )
+    def test_wrong_length_names_the_field(self, workdir, capsys, kind, code, field, change):
+        path = gen(workdir, kind, 5)
+        out = workdir / "sol.json"
+        assert run_cli("solve", str(path), "--output", str(out)) == code
+        doc = json.loads(out.read_text())
+        length = len(doc[field])
+        doc[field] = change(doc[field])
+        out.write_text(json.dumps(doc))
+        assert run_cli("check", str(path), str(out)) == 4
+        err = capsys.readouterr().err
+        assert_one_error_line(err)
+        assert err == f"error: {field} must have length {length}\n"
+
+    @pytest.mark.parametrize("doc", [[{"status": "optimal"}], {"y": [1.0]}])
+    def test_solution_without_status_rejected(self, workdir, capsys, doc):
+        path = gen(workdir, "feasible_sv", 4)
+        sol = workdir / "s.json"
+        sol.write_text(json.dumps(doc))
+        assert run_cli("check", str(path), str(sol)) == 4
+        err = capsys.readouterr().err
+        assert err == "error: solution document must be an object with a status\n"

@@ -19,7 +19,6 @@ from hqp import (
     recover,
     validate,
 )
-from hqp.embedding import manual_theta_report
 
 from _support import (
     STRUCTURED_KINDS,
@@ -53,7 +52,7 @@ def column_scaled(problem, seed):
 
 def one_var_hqp(theta=2.0):
     v = validate(QpProblem([[1.0]], [0.0], [[1.0]], [1.0]))
-    return embed(v, manual_theta_report(v, theta))
+    return embed(v, compute_theta(v, theta))
 
 
 class TestThetaStar:
@@ -248,21 +247,21 @@ class TestManualTheta:
         threshold = -2.0 * v.theta_star
         assert threshold > 0.0
         assert check_reduced_hessian_pd(v, 1.1 * threshold) > 0.0
-        manual_theta_report(v, 1.1 * threshold)
+        compute_theta(v, 1.1 * threshold)
         assert check_reduced_hessian_pd(v, 0.9 * threshold) < 0.0
         with pytest.raises(NotReducedPd):
-            manual_theta_report(v, 0.9 * threshold)
+            compute_theta(v, 0.9 * threshold)
 
     def test_too_small_rejected(self):
         with pytest.raises(NotReducedPd):
-            manual_theta_report(worked_validated(), 1.4)
+            compute_theta(worked_validated(), 1.4)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(NotReducedPd):
-            manual_theta_report(worked_validated(), 0.0)
+            compute_theta(worked_validated(), 0.0)
 
     def test_valid_override(self):
-        rep = manual_theta_report(worked_validated(), 5.0)
+        rep = compute_theta(worked_validated(), 5.0)
         assert rep.override
         assert rep.theta == 5.0
 
@@ -286,7 +285,7 @@ class TestRecover:
 
     def test_one_variable_certificate(self):
         v = validate(QpProblem([[1.0]], [0.0], [[1.0]], [-1.0]))
-        h = embed(v, manual_theta_report(v, 2.0))
+        h = embed(v, compute_theta(v, 2.0))
         theta = h.theta
         out = recover(
             h,

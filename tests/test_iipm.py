@@ -9,6 +9,7 @@ from hqp import (
     IipmIterate,
     InstanceKind,
     InstanceSpec,
+    NumericalFailure,
     QpKktPoint,
     QpProblem,
     SingularNewton,
@@ -21,7 +22,6 @@ from hqp import (
     solve_qp,
     validate,
 )
-from hqp.embedding import manual_theta_report
 from hqp.iipm import (
     SIGMA_MAX,
     SIGMA_MIN,
@@ -48,7 +48,7 @@ from _support import (
 
 def one_var_hqp(theta=2.0, f=1.0):
     v = validate(QpProblem([[1.0]], [0.0], [[1.0]], [f]))
-    return embed(v, manual_theta_report(v, theta))
+    return embed(v, compute_theta(v, theta))
 
 
 def make_initial(hqp, config=None):
@@ -337,7 +337,7 @@ class TestSolve:
         h = one_var_hqp(theta=2.0)
         cfg = IipmConfig()
         outcome, log = solve(h, cfg)
-        rows = log.rows
+        rows = log
         assert rows[0].upsilon == 1.0
         for prev, cur in zip(rows, rows[1:]):
             assert cur.mu <= (1 - 0.01 * prev.alpha) * prev.mu + 1e-300
@@ -429,7 +429,7 @@ class TestSolve:
         cfg = IipmConfig()
         _, log = solve(embed(validated, compute_theta(validated)), cfg)
         assert len(per_step) == len(log) - 1 > 0
-        for row, (step, mu, mu_aff, eta, rhs, oracle_rhs) in zip(log.rows, per_step):
+        for row, (step, mu, mu_aff, eta, rhs, oracle_rhs) in zip(log, per_step):
             assert step["factorizations"] == 1
             assert step["backward_errors"] == 1
             # The predictor's plain backsolve, then the corrected solve.
@@ -473,12 +473,12 @@ class TestSolve:
         steps = record_steps(monkeypatch)
         outcome, log = solve(h)
         assert outcome.status is status
-        stepped = log.rows[:-1]
+        stepped = log[:-1]
         assert len(steps) == len(factorizations) == len(stepped) > 0
         assert factorizations == [1] * len(stepped)
         Q = lifted_hessian(h)
         data_norm = hqp.linsys.newton_data_norm(np.linalg.norm(Q, np.inf), h.A)
-        assert log.rows[-1].as_dict()["corrected"] is None
+        assert log[-1].as_dict()["corrected"] is None
         for row, (it, d, _) in zip(stepped, steps):
             assert row.corrected is False and not d.corrected
             assert row.as_dict()["corrected"] is False
@@ -501,6 +501,75 @@ class TestSolve:
             expected = np.concatenate(plain[:3])
             gap = np.linalg.norm(np.concatenate([d.dx, d.dlam, d.ds]) - expected, np.inf)
             assert gap <= 1e-12 * np.linalg.norm(expected, np.inf)
+
+    @staticmethod
+    def refuse_searches(monkeypatch, refuse):
+        """Make ``iipm.step_length`` raise StepSearchFailed when
+        ``refuse(direction, passed)`` holds, with ``passed`` the number of
+        searches let through so far.  Returns the factorization count of
+        each Newton direction and the ``corrected`` flag of each search."""
+        import hqp.iipm
+        import hqp.linsys
+
+        factorizations, searched, passed = [], [], []
+
+        class CountingFactorization(hqp.linsys.AugmentedFactorization):
+            def __init__(self, *args, **kwargs):
+                factorizations[-1] += 1
+                super().__init__(*args, **kwargs)
+
+        raw_direction = hqp.iipm.newton_direction
+        raw_step = hqp.iipm.step_length
+
+        def counting_direction(*args):
+            factorizations.append(0)
+            return raw_direction(*args)
+
+        def refusing_step(h, iterate, direction, *args):
+            searched.append(direction.corrected)
+            if refuse(direction, len(passed)):
+                raise StepSearchFailed("refused")
+            passed.append(direction)
+            return raw_step(h, iterate, direction, *args)
+
+        monkeypatch.setattr(hqp.linsys, "AugmentedFactorization", CountingFactorization)
+        monkeypatch.setattr(hqp.iipm, "newton_direction", counting_direction)
+        monkeypatch.setattr(hqp.iipm, "step_length", refusing_step)
+        return factorizations, searched
+
+    def test_refused_corrected_search_falls_back(self, monkeypatch):
+        # A corrected direction whose step search fails is replaced by the
+        # pure centered direction on the same factors.
+        validated = validate(generate(InstanceSpec(InstanceKind.FEASIBLE_SV, 10, seed=0)))
+        h = embed(validated, compute_theta(validated))
+        factorizations, searched = self.refuse_searches(
+            monkeypatch, lambda direction, _: direction.corrected
+        )
+        outcome, log = solve(h)
+        assert outcome.status is SolveStatus.OPTIMAL
+        stepped = log[:-1]
+        assert len(stepped) > 0
+        assert factorizations == [1] * len(stepped)
+        assert searched == [True, False] * len(stepped)
+        assert all(row.corrected is False and row.alpha > 0.0 for row in stepped)
+
+    def test_refused_fallback_search_keeps_log(self, monkeypatch):
+        # When the fallback's search fails too, the failure carries the
+        # log up to the iterate it stopped at.
+        validated = validate(generate(InstanceSpec(InstanceKind.FEASIBLE_SV, 10, seed=0)))
+        h = embed(validated, compute_theta(validated))
+        factorizations, searched = self.refuse_searches(
+            monkeypatch, lambda direction, passed: direction.corrected or passed == 3
+        )
+        with pytest.raises(NumericalFailure, match="refused") as info:
+            solve(h)
+        assert isinstance(info.value, StepSearchFailed)
+        rows = info.value.log
+        assert [row.k for row in rows] == [0, 1, 2, 3]
+        assert all(row.corrected is False for row in rows)
+        assert np.isnan(rows[-1].alpha) and all(row.alpha > 0.0 for row in rows[:-1])
+        assert factorizations == [1] * 4
+        assert searched == [True, False] * 4
 
     @pytest.mark.parametrize(
         "kind, n, m, seed, cost_scale",
@@ -566,7 +635,7 @@ class TestSolve:
             solve(embed(validated, compute_theta(validated)))
         report = info.value.report
         assert report.kkt_scaled > report.tol and report.certificate_scaled > report.tol
-        rows = info.value.log.rows
+        rows = info.value.log
         assert rows[-1].mu <= IipmConfig().tol_mu < rows[-2].mu
 
     def test_deterministic(self):
@@ -574,13 +643,13 @@ class TestSolve:
         out1, log1 = solve(h)
         out2, log2 = solve(h)
         assert np.array_equal(out1.y, out2.y)
-        assert [r.mu for r in log1.rows] == [r.mu for r in log2.rows]
+        assert [r.mu for r in log1] == [r.mu for r in log2]
 
     def test_zeta_override(self):
         h = one_var_hqp(theta=2.0)
         outcome, log = solve(h, IipmConfig(zeta=25.0))
         assert outcome.diagnostics["zeta"] == 25.0
-        assert log.rows[0].mu == pytest.approx(625.0)
+        assert log[0].mu == pytest.approx(625.0)
 
 
 class TestNullspaceSelfConsistency:
@@ -641,7 +710,7 @@ class TestDirectionDiagnostics:
         steps = record_steps(monkeypatch)
         h = one_var_hqp(theta=2.0)
         _, log = solve(h)
-        stepped = [r for r in log.rows if np.isfinite(r.alpha)]
+        stepped = [r for r in log if np.isfinite(r.alpha)]
         assert stepped
         assert len(steps) == len(stepped)
         for row, (iterate, direction, _) in zip(stepped, steps):

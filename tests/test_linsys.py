@@ -579,8 +579,7 @@ def eig_inertia(M):
 
 class TestInertia:
     def test_factorization_matches_eigvalsh(self):
-        # Indefinite symmetric matrices need 2x2 pivots; the count must read
-        # each block's off-diagonal entry from the factored triangle.
+        # Indefinite symmetric matrices need 2x2 pivots.
         rng = np.random.default_rng(11)
         two_by_two = 0
         for _ in range(40):
@@ -591,6 +590,32 @@ class TestInertia:
             two_by_two += int((fact._piv < 0).sum())
             assert fact.inertia() == eig_inertia(M)
         assert two_by_two > 0
+
+    def test_two_by_two_pivots_have_one_eigenvalue_of_each_sign(self):
+        # Small diagonals force 2x2 pivots; spectra bounded away from 0 make
+        # the sign of every eigenvalue unambiguous.  Each 2x2 block
+        # [[a, b], [b, c]] of D meets the Bunch-Kaufman bound
+        # |a c| <= alpha^2 b^2, so inertia() counts it as one of each sign.
+        alpha = (1.0 + np.sqrt(17.0)) / 8.0
+        rng = np.random.default_rng(13)
+        matrices = blocks = 0
+        for _ in range(300):
+            n = int(rng.integers(2, 13))
+            G = rng.standard_normal((n, n))
+            M = G + G.T
+            M[np.diag_indices(n)] *= 10.0 ** rng.uniform(-8.0, -1.0)
+            w = np.linalg.eigvalsh(M)
+            if np.abs(w).min() < 1e-3 * np.abs(w).max():
+                continue
+            fact = AugmentedFactorization(np.asfortranarray(M))
+            assert fact.inertia() == (int((w > 0.0).sum()), int((w < 0.0).sum()), 0)
+            ldu = fact._ldu
+            for i in np.flatnonzero(fact._piv < 0)[::2]:
+                a, b, c = ldu[i, i], ldu[i, i + 1], ldu[i + 1, i + 1]
+                assert abs(a * c) <= alpha**2 * b * b and a * c - b * b < 0.0
+                blocks += 1
+            matrices += 1
+        assert matrices >= 150 and blocks >= matrices
 
     def test_kkt_matches_eigvalsh(self):
         # Random KKT matrices whose C mixes diagonal-only rows (divided out

@@ -262,7 +262,7 @@ class TestCertificate:
         p = QpProblem([[1.0]], [0.0], [[1.0]], [-1.0])
         r = check_certificate(p, InfeasCertificate(np.zeros(1), np.zeros(1)))
         assert r.r2 == 1.0
-        assert not r.accepted(1e-6)
+        assert not r.max_violation() <= 1e-6
 
     def test_r1_r3_scale_exactly_with_power_of_two(self):
         rng = np.random.default_rng(3)
